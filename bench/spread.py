@@ -1,11 +1,12 @@
-"""Run the benchmark on several seeds and report each metric's spread.
+"""Run the benchmark on seeds 1-10 and report each metric's spread.
 
-    python3 bench/spread.py --workload hulls --seeds 1-10 [--seconds 15]
+    python3 bench/spread.py --workload hulls
 
-Runs one seed after another (never in parallel) and prints, for every
-end-to-end metric, the median and the distance between the first and
-third quartiles (statistics.quantiles, n=4) as a share of the median,
-plus the share of failed operations.  Raw result lines are appended to
+Runs the ten seeds one after another (never in parallel), each for the
+run_seconds of BENCHMARK.json, and prints, for every end-to-end metric,
+the median and the distance between the first and third quartiles
+(statistics.quantiles, n=4) as a share of the median, plus the share of
+failed operations.  Raw result lines are appended to
 bench/out/spread-<workload>.jsonl.
 """
 
@@ -19,27 +20,21 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
-
-
-def seeds(text: str) -> list:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = range(1, 11)
+SECONDS = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", default="1-10")
-    p.add_argument("--seconds", default=str(json.loads(
-        (BENCH.parent / "BENCHMARK.json").read_text())["run_seconds"]))
     args = p.parse_args()
     log = BENCH / "out" / f"spread-{args.workload}.jsonl"
     log.parent.mkdir(exist_ok=True)
     runs = []
-    for seed in seeds(args.seeds):
+    for seed in SEEDS:
         out = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload",
                               args.workload, "--seed", str(seed), "--seconds",
-                              args.seconds, "--trace", "0"],
+                              str(SECONDS), "--trace", "0"],
                              cwd=BENCH.parent, capture_output=True, text=True, check=True)
         result = json.loads(out.stdout.strip().splitlines()[-1])
         result["seed"] = seed

@@ -22,6 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+import calibrate
 import checks as ck
 from checks import require
 
@@ -94,6 +95,10 @@ class Workload:
     """Common shape: inputs and ops from the seed, per-pass preparation."""
 
     clear_each_pass = True
+    # a calibration block (calibrate.py) before every CAL_EVERY-th
+    # operation: a small share of the time it scales
+    CAL_EVERY = 1
+    cal_ref_s = calibrate.REF_S
 
     def __init__(self, hp, seed: int, workdir: Path, traced: bool, caches: list):
         self.hp = hp
@@ -112,6 +117,11 @@ class Workload:
     def peak_rss_kb(self, self_kb: int) -> int:
         return self_kb
 
+    def calibration(self) -> float:
+        """Seconds one calibration block takes now; cal_ref_s at the
+        reference speed."""
+        return calibrate.block(1)
+
 
 # ---------------------------------------------------------------------------
 # hulls: random rational balls, the exact hull scan and the polar
@@ -120,8 +130,12 @@ class Workload:
 class Hulls(Workload):
     # (dimension, points per input, operations per pass); dims 3 and 4 at
     # sizes where the C(n, m) subset scan dominates, dim 2 on the
-    # monotone-chain path where a scan change should show nothing
-    SIZES = ((2, 40, 8), (3, 20, 20), (4, 16, 16))
+    # monotone-chain path where a scan change should show nothing.  Of 52
+    # operations the median (26th) is the middle of the dim-3 ones and the
+    # tail (p80, the 42nd) the middle of the dim-4 ones: a middle value of
+    # a group spread over the pass moves less with the machine's short
+    # fast and slow stretches than the group's fastest or slowest.
+    SIZES = ((2, 40, 20), (3, 20, 12), (4, 15, 20))
 
     def __init__(self, hp, seed, workdir, traced, caches):
         super().__init__(hp, seed, workdir, traced, caches)
@@ -173,9 +187,18 @@ class Hulls(Workload):
 # ---------------------------------------------------------------------------
 # weights: Weyl orbit hulls, their balls, classification and comparison
 
-RANK4 = {"A": ("standard", "adjoint", "fundamental:2", "fundamental:3", "fundamental:4"),
+# A4 adjoint is left out: its one operation takes as long as the rest of
+# a pass together.  A4 fundamental:3 and D4 fundamental:4 are left out as
+# repeats: their hulls are those of fundamental:2 and fundamental:3 under
+# a diagram symmetry.  So eight operations (rank 4 but A4 fundamental:4,
+# and A3 regular) are slower than the four rank-3 specs of adjoint size,
+# which run three times each: the tail (p89, the 82nd of 92) is the 10th
+# of those twelve, a steadier figure than one of four would be.
+TAIL_SPECS = {("A", 3, "adjoint"), ("B", 3, "adjoint"), ("D", 3, "adjoint"),
+              ("C", 3, "fundamental:2")}
+RANK4 = {"A": ("standard", "fundamental:2", "fundamental:4"),
          "B": ("standard",), "C": ("standard", "adjoint"),
-         "D": ("standard", "fundamental:3", "fundamental:4")}
+         "D": ("standard", "fundamental:3")}
 
 
 def weight_specs() -> list:
@@ -196,16 +219,21 @@ def weight_specs() -> list:
 
 class Weights(Workload):
     # rank-2 specs run six times per pass, with different scales, so that
-    # the median falls in the middle of a cluster of like operations
+    # the median falls in the middle of a cluster of like operations.  The
+    # order is shuffled to spread each cluster over the pass, but does not
+    # depend on the seed, so the same operations pay the Weyl-group builds
+    # in every run.
     def __init__(self, hp, seed, workdir, traced, caches):
         super().__init__(hp, seed, workdir, traced, caches)
         for fam, rank, name in weight_specs():
-            for _ in range(6 if rank == 2 else 1):
+            repeats = 6 if rank == 2 else 3 if (fam, rank, name) in TAIL_SPECS else 1
+            for _ in range(repeats):
                 # whole scales: fractional ones change the cost of the
                 # small operations with the seed
                 scale = rand_scale(self.rng, max_den=1)
                 self.ops.append(Op(f"{fam}{rank}", self._run(fam, rank, name, scale),
                                    self._check(fam, rank, name, scale)))
+        random.Random(0).shuffle(self.ops)
 
     def _weight(self, rs, name):
         hp = self.hp
@@ -256,12 +284,12 @@ class Weights(Workload):
 
 class Horo(Workload):
     clear_each_pass = False  # caches filled in set-up stay valid: same balls
+    CAL_EVERY = 5
 
-    # per pass: 750 plain queries on the plane fixtures, 1250 plain and 500
+    # per pass: 375 plain queries on the plane fixtures, 625 plain and 250
     # strata queries on the Satake balls, so that the median falls inside
-    # the plain Satake queries and p90 inside the strata queries; a pass
-    # is long enough that one pass fills a run, as in the other workloads
-    PLAN = (("plane", False, 750), ("satake", False, 1250), ("satake", True, 500))
+    # the plain Satake queries and p90 inside the strata queries
+    PLAN = (("plane", False, 375), ("satake", False, 625), ("satake", True, 250))
 
     def __init__(self, hp, seed, workdir, traced, caches):
         super().__init__(hp, seed, workdir, traced, caches)
@@ -335,19 +363,26 @@ class Horo(Workload):
 # cli: every verb as a fresh interpreter
 
 
+# one spec per round; rank 3 only in round 2, so that the median of a
+# pass (the 26th of 51) lies inside the 29 or so exact verbs of rank-2
+# cost, not at their edge
 SATAKE_SPECS = (("A", 2, "adjoint"), ("B", 2, "standard"), ("A", 3, "adjoint"),
-                ("C", 3, "standard"))
-CLASSIFY_SPECS = (("A", 2, "standard"), ("B", 2, "adjoint"), ("A", 3, "fundamental:2"),
-                  ("D", 3, "adjoint"))
+                ("C", 2, "standard"))
+CLASSIFY_SPECS = (("A", 2, "standard"), ("B", 2, "adjoint"), ("D", 3, "adjoint"),
+                  ("A", 2, "adjoint"))
 # (family, rank, weights, weights2, same?): scaled copies induce the same
 # compactification; a triangle and a hexagon cannot; standard against
 # dual-standard is the answer of acceptance guarantee 09
-COMPARE_CASES = (("A", 2, "adjoint", "adjoint", True),
-                 ("A", 2, "standard", "dual-standard", False),
+COMPARE_CASES = (("A", 2, "standard", "dual-standard", False),
                  ("A", 2, "adjoint", "standard", False),
-                 ("A", 3, "adjoint", "adjoint", True))
-# flat-test balls: (n, file stem); inputs do not depend on the seed
-FLAT_TESTS = ((2, "a1_adjoint"), (3, "skew_hexagon"), (3, "a2_adjoint"), (4, "a3_adjoint"))
+                 ("A", 3, "adjoint", "adjoint", True),
+                 ("B", 2, "standard", "standard", True))
+# flat-test balls: (n, file stem, runs per pass); inputs do not depend on
+# the seed.  The 15 flat-tests are the slowest of 51 operations, and the
+# tail (p80, the 41st) is the middle one of the nine at n = 2, below the
+# six at n = 3 and 4: flatspace work, not only interpreter start, moves it.
+FLAT_TESTS = ((2, "a1_adjoint", 9), (3, "skew_hexagon", 2), (3, "a2_adjoint", 2),
+              (4, "a3_adjoint", 2))
 
 
 def write_json(path: Path, doc) -> str:
@@ -406,9 +441,11 @@ class Cli(Workload):
             ]
             for verb, args, check in ops:
                 self.ops.append(Op(verb, self._run([verb] + args), self._exit_ok(check)))
-        for n, stem in FLAT_TESTS:
-            self.ops.append(Op("flat-test", self._run(
-                ["flat-test", "--n", str(n), "--ball", files[stem]]), self._check_flat(n)))
+        for n, stem, times in FLAT_TESTS:
+            self.ops += [Op("flat-test", self._run(
+                ["flat-test", "--n", str(n), "--ball", files[stem]]), self._check_flat(n))
+                for _ in range(times)]
+        rng.shuffle(self.ops)
 
     def _satake_ball(self, fam, rank, name):
         hp = self.hp
@@ -448,6 +485,16 @@ class Cli(Workload):
 
     def peak_rss_kb(self, self_kb):
         return self_kb if self.traced else self.max_child_kb
+
+    # a CLI call is mostly interpreter start and imports, which a process
+    # block follows and an in-process one does not; the traced run calls
+    # the CLI in-process
+    def calibration(self):
+        return super().calibration() if self.traced else calibrate.process_block()
+
+    @property
+    def cal_ref_s(self):
+        return calibrate.REF_S if self.traced else calibrate.PROCESS_REF_S
 
     # checks see the stdout a user sees; a nonzero exit fails the operation
 
