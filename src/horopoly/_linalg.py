@@ -7,23 +7,24 @@ Everything operates on tuples of Fraction; nothing here touches floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, string, float or Fraction to Fraction.
+    """Coerce an int, string, finite float or Fraction to Fraction.
 
     Floats convert to their exact binary value, which keeps the conversion
     deterministic; callers that want a short decimal should pass strings.
+    Booleans are refused rather than read as 0 and 1.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, float) and isfinite(x):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -69,15 +70,6 @@ def transpose(M):
 
 def mat_vec(M, v):
     return tuple(vdot(row, v) for row in M)
-
-
-def mat_mul(A, B):
-    cols = transpose(B)
-    return tuple(tuple(vdot(row, col) for col in cols) for row in A)
-
-
-def identity_matrix(n: int):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def rref(rows):

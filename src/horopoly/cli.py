@@ -27,14 +27,15 @@ from .flatspace import (InvarianceConfig, consistency_report_to_json,
                         flat_limit_consistency, flat_space,
                         invariance_report_to_json, invariance_suite)
 from .horoboundary import (enumerate_strata, horofunction_to_json,
-                           limit_of_ray, walsh_criterion)
+                           limit_of_ray)
 from .norm import polyhedral_norm
 from .polytope import (convex_hull, load_polytope, polar_dual,
                        polytope_to_json)
 from .render import render_off, render_svg
 from .rootsys import (build, named_weight, point_ambient, weight_ambient)
-from .satake import (classify, report_to_json, same_compactification,
-                     satake_ball, weight_hull, weight_spec)
+from .satake import (_report, classify, report_to_json,
+                     same_compactification, satake_ball, weight_hull,
+                     weight_spec)
 
 
 def _out_path(path: str) -> Path:
@@ -133,7 +134,7 @@ def _cmd_satake(args) -> int:
     rs, spec = _spec_from_flags(args.family, args.rank, args.weights, args.scale)
     hull = weight_hull(spec)
     ball = satake_ball(hull)
-    report = classify(spec)
+    report = _report(spec, hull, ball)
     any_file = bool(args.out or args.ball or args.report)
     if any_file:
         if args.out:
@@ -168,12 +169,14 @@ def _cmd_classify(args) -> int:
 def _cmd_strata(args) -> int:
     norm = polyhedral_norm(load_polytope(args.ball))
     strata = enumerate_strata(norm)
-    walsh = walsh_criterion(norm)
+    # The extreme sets of a polytope are its faces: the proper ones, which
+    # are the strata, plus the whole ball.  There are finitely many, so
+    # Walsh's finiteness criterion always holds.
     doc = {
         "dim": norm.dim,
         "stratum_count": len(strata),
-        "extreme_set_count": walsh.extreme_set_count,
-        "finite_boundary": walsh.satisfied,
+        "extreme_set_count": len(strata) + 1,
+        "finite_boundary": True,
         "strata": [{"face": list(face.vertex_indices), "dim": dim}
                    for face, dim in strata],
     }

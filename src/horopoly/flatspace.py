@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import eigh
 
 from ._linalg import frac, solve_square, vadd, vdot, vec, vscale, vzero
 from .errors import DimensionMismatch, InputError, PreconditionError
@@ -124,8 +123,9 @@ def exp_flat(H) -> np.ndarray:
 def cartan_projection(P, Q) -> tuple:
     """Descending-sorted logs of the spectrum of Q relative to P.
 
-    Solves the symmetric-definite pencil Q v = t P v, so the result is the
-    sorted logarithmic generalized spectrum, re-centered to trace zero.
+    Solves the symmetric-definite pencil Q v = t P v by Cholesky
+    whitening, P = L L^T, and the spectrum of L^-1 Q L^-T, so the result is
+    the sorted logarithmic generalized spectrum, re-centered to trace zero.
     Both points must have condition number at most 1e12.
     """
     P = validate_spd(P)
@@ -135,7 +135,8 @@ def cartan_projection(P, Q) -> tuple:
     for M in (P, Q):
         if float(np.linalg.cond(M)) > _COND_LIMIT:
             raise PreconditionError("point condition number exceeds 1e12")
-    vals = eigh(Q, P, eigvals_only=True)
+    L = np.linalg.cholesky(P)
+    vals = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, Q).T))
     logs = np.log(vals)[::-1]
     logs = logs - logs.mean()
     return tuple(float(x) for x in logs)

@@ -75,12 +75,6 @@ class SequenceSample:
         return SequenceSample(pts, b)
 
 
-@dataclass(frozen=True)
-class WalshReport:
-    satisfied: bool
-    extreme_set_count: int
-
-
 def _span_of_dual_face(norm: PolyhedralNorm, E: Face):
     """Basis of V(dual face of E), the linear span of its vertex vectors."""
     F = dual_face(norm.dual_ball, E)
@@ -151,15 +145,6 @@ def enumerate_strata(norm: PolyhedralNorm) -> tuple:
     The stratum of a face E is parametrised by a space of dimension dim E.
     """
     return tuple((f, f.dim) for f in face_lattice(norm.dual_ball) if f.is_proper)
-
-
-def walsh_criterion(norm: PolyhedralNorm) -> WalshReport:
-    """Count the extreme sets of the dual ball (all faces plus the ball).
-
-    Finiteness of this count is the criterion for the compactification to
-    be well-behaved; for a polytope it always holds.
-    """
-    return WalshReport(True, len(face_lattice(norm.dual_ball)))
 
 
 # ---------------------------------------------------------------------------

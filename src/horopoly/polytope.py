@@ -287,22 +287,6 @@ def from_halfspaces(halfspaces) -> Polytope:
     return P
 
 
-def dual_description(P: Polytope, from_side: str = "vertices") -> Polytope:
-    """Recompute a polytope from one description only.
-
-    from_side='vertices' rebuilds facets from the vertex list;
-    from_side='facets' enumerates vertices from the facet list.  Either way
-    the result is fully canonical, so round trips are the identity.
-    """
-    if from_side == "vertices":
-        return convex_hull(P.vertices)
-    if from_side == "facets":
-        if not P.facets:
-            raise PreconditionError("polytope has no facet description")
-        return from_halfspaces(P.facets)
-    raise InputError(f"unknown side {from_side!r}")
-
-
 # ---------------------------------------------------------------------------
 # polarity and faces
 
@@ -486,7 +470,10 @@ def polytope_from_json(obj) -> Polytope:
     if list(P.vertices) != sorted(set(pts)):
         raise InputError("vertex list contains non-extremal or duplicate points")
     if "facets" in obj:
-        given = {vec(f) for f in obj["facets"]}
+        try:
+            given = {vec(f) for f in obj["facets"]}
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad facet data: {exc}") from exc
         actual = {h.functional for h in P.facets}
         if not P.has_origin_interior() or given != actual:
             raise InputError("facet list does not match the vertex data")

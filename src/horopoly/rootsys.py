@@ -3,7 +3,8 @@
 Families A, B, C and D in their standard coordinate realisations: family
 A of rank r lives in the trace-zero hyperplane of R^(r+1), the other
 families fill R^r.  The reflection group of each system is enumerated
-explicitly as orthogonal matrices with rational entries, so orbits,
+explicitly in its closed form, as the permutation (A) or signed
+permutation (B, C, D) matrices of the ambient coordinates, so orbits,
 chamber membership and stabilisers are all decided exactly.
 
 Family A keeps its ambient coordinates, and two rank-sized charts
@@ -21,11 +22,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, permutations, product
 
 from ._linalg import (
-    identity_matrix,
-    mat_mul,
+    ONE,
+    ZERO,
     mat_vec,
     nullspace,
     solve_system,
@@ -148,24 +149,6 @@ def reflection_matrix(root) -> tuple:
                  for i in range(n))
 
 
-def _closure(generators, ambient_dim: int, cap: int) -> tuple:
-    elems = {identity_matrix(ambient_dim)}
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for g in generators:
-                prod = mat_mul(g, m)
-                if prod not in elems:
-                    elems.add(prod)
-                    fresh.append(prod)
-                    if len(elems) > cap:
-                        raise PreconditionError(
-                            f"reflection group exceeds the safety cap {cap}")
-        frontier = fresh
-    return tuple(sorted(elems))
-
-
 def _classical_order(label: str, r: int) -> int:
     if label == "A":
         return math.factorial(r + 1)
@@ -176,17 +159,27 @@ def _classical_order(label: str, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem) -> WeylGroup:
-    """Enumerate the full reflection group by closing the generators."""
-    expected = _classical_order(rs.type_label, rs.rank)
-    if expected > _GROUP_CAP:
+    """The full reflection group in closed form (Humphreys 1990, 2.10).
+
+    W(A_r) permutes the r+1 ambient coordinates, W(B_r) and W(C_r) are
+    all signed permutations, and W(D_r) the signed permutations with an
+    even number of sign changes.
+    """
+    label, n = rs.type_label, rs.ambient_dim
+    order = _classical_order(label, rs.rank)
+    if order > _GROUP_CAP:
         raise PreconditionError(
-            f"group order {expected} exceeds the safety cap {_GROUP_CAP}")
+            f"group order {order} exceeds the safety cap {_GROUP_CAP}")
+    if label == "A":
+        signs = [(ONE,) * n]
+    else:
+        signs = [s for s in product((ONE, -ONE), repeat=n)
+                 if label != "D" or s.count(-ONE) % 2 == 0]
+    elems = sorted(tuple(tuple(s[i] if j == p[i] else ZERO for j in range(n))
+                         for i in range(n))
+                   for p in permutations(range(n)) for s in signs)
     gens = tuple(reflection_matrix(a) for a in rs.simple_roots)
-    elems = _closure(gens, rs.ambient_dim, _GROUP_CAP)
-    if len(elems) != expected:
-        raise AssertionError(f"closure produced {len(elems)} elements, "
-                             f"expected {expected}")
-    return WeylGroup(rs, elems, gens)
+    return WeylGroup(rs, tuple(elems), gens)
 
 
 def weyl_orbit(group: WeylGroup, v) -> tuple:
@@ -236,36 +229,11 @@ def subset_data(rs: RootSystem, indices) -> SimpleSubset:
     span = span_basis([rs.simple_roots[i] for i in idxs])
     if len(fixed) + len(span) != rs.rank:
         raise AssertionError("kernel/span dimensions do not add to the rank")
-    gens = tuple(reflection_matrix(rs.simple_roots[i]) for i in idxs)
-    subgroup = (_closure(gens, rs.ambient_dim, _GROUP_CAP) if gens
-                else (identity_matrix(rs.ambient_dim),))
+    # Steinberg: the pointwise stabiliser of the fixed space is the
+    # subgroup the chosen simple reflections generate.
+    subgroup = tuple(m for m in weyl_group(rs).elements
+                     if all(mat_vec(m, v) == v for v in fixed))
     return SimpleSubset(rs, idxs, tuple(fixed), tuple(span), subgroup)
-
-
-def irreducible_components(rs: RootSystem, indices) -> tuple:
-    """Finest splitting of the index set into mutually orthogonal parts.
-
-    Connected components of the graph joining two chosen simple roots
-    when their inner product is nonzero.
-    """
-    idxs = sorted(set(indices))
-    if any(not isinstance(i, int) or i < 0 or i >= rs.rank for i in idxs):
-        raise InputError("simple-root indices must lie in range(rank)")
-    remaining = set(idxs)
-    parts = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in list(remaining - comp):
-                if vdot(rs.simple_roots[i], rs.simple_roots[j]) != 0:
-                    comp.add(j)
-                    frontier.append(j)
-        parts.append(tuple(sorted(comp)))
-        remaining -= comp
-    return tuple(sorted(parts))
 
 
 # ---------------------------------------------------------------------------

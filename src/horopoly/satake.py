@@ -97,13 +97,6 @@ def satake_ball(hull: Polytope) -> Polytope:
     return negate(polar_dual(hull))
 
 
-def dual_satake_ball(hull: Polytope) -> Polytope:
-    """The weight hull itself, in its role as the dual unit ball."""
-    if not hull.has_origin_interior():
-        raise PreconditionError("0 must be interior to serve as a unit ball")
-    return hull
-
-
 def invariant_under(P: Polytope, matrices) -> bool:
     """Does every matrix map the vertex set onto itself?"""
     vset = set(P.vertices)
@@ -121,23 +114,28 @@ def _wall_signature(rs: RootSystem, chart_point) -> tuple:
 
 
 def classify(spec: WeightSpec) -> CompactificationReport:
-    rs = spec.root_system
     hull = weight_hull(spec)
-    ball = satake_ball(hull)
+    return _report(spec, hull, satake_ball(hull))
+
+
+def _report(spec: WeightSpec, hull: Polytope,
+            ball: Polytope) -> CompactificationReport:
+    """The report on an already built weight hull and its ball."""
+    rs = spec.root_system
     supports = tuple(singular_support(rs, w) for w in spec.highest_weights)
+    fv = f_vector(hull)
     return CompactificationReport(
-        hull_f_vector=f_vector(hull),
+        hull_f_vector=fv,
         ball_f_vector=f_vector(ball),
         vertices=hull.vertices,
         facet_count=len(hull.facets),
         singular_supports=supports,
         regular=all(s == () for s in supports),
-        shape=_recognize_shape(rs, hull),
+        shape=_recognize_shape(rs, hull, fv),
     )
 
 
-def _recognize_shape(rs: RootSystem, hull: Polytope) -> Optional[str]:
-    fv = f_vector(hull)
+def _recognize_shape(rs: RootSystem, hull: Polytope, fv: tuple) -> Optional[str]:
     if hull.affine_dim == 2 and fv == (6, 6, 1):
         return "hexagon"
     if hull.affine_dim == 3 and fv == (12, 24, 14, 1):

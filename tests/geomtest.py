@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from horopoly.polytope import Polytope, convex_hull, relative_interior_point
-from horopoly._linalg import vsub
+from horopoly._linalg import transpose, vsub
 
 
 def rand_fraction(rng: random.Random, num: int = 12, den: int = 6) -> Fraction:
@@ -42,3 +42,15 @@ def rand_ball(rng: random.Random, dim: int, count: int) -> Polytope:
         recentred = convex_hull([vsub(v, c) for v in hull.vertices])
         if recentred.has_origin_interior():
             return recentred
+
+
+def mat_mul(A, B) -> tuple:
+    """Matrix product; integer matrices stay integer and compare equal to
+    their Fraction forms."""
+    cols = transpose(B)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                 for row in A)
+
+
+def identity_matrix(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))

@@ -14,7 +14,8 @@ from itertools import product
 
 import pytest
 
-from horopoly._linalg import identity_matrix, mat_vec, vadd, vdot, vscale, vsub
+from geomtest import identity_matrix
+from horopoly._linalg import mat_vec, vadd, vdot, vscale, vsub
 from horopoly.flatspace import (InvarianceConfig, exp_flat, finsler_distance,
                                 flat_gauge, flat_limit_consistency, flat_space,
                                 invariance_suite)

@@ -5,9 +5,14 @@ violation, 4 inconclusive numeric verdict, 1 numeric failure.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import horopoly
 from horopoly.cli import main
 
 
@@ -89,6 +94,27 @@ class TestHullDual:
         bad.write_text("[[1, 0], ")
         code, _, _ = run(capsys, "hull", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["[[1e400, 0], [0, 1], [-1, -1]]",
+                                      "[[true, 0], [0, 1], [-1, -1]]"])
+    def test_hull_rejects_non_rational_numbers(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "hull", str(bad))
+        assert code == 2
+        assert out == "" and err.startswith("error: bad point")
+
+    @pytest.mark.parametrize("text", [
+        '{"vertices": [[true, "-1"], ["0", "1"], ["1", "0"]]}',
+        '{"vertices": [["-1", "-1"], ["0", "1"], ["1", "0"]],'
+        ' "facets": [[1e400, 0]]}'])
+    def test_polytope_rejects_non_rational_numbers(self, tmp_path, capsys,
+                                                   text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, _, err = run(capsys, "dual", str(bad))
+        assert code == 2
+        assert err.startswith("error: bad ")
 
 
 class TestSatakeVerbs:
@@ -271,6 +297,14 @@ class TestArgumentHandling:
         assert code == 0
         assert target.exists()
         assert not (tmp_path / "sink").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(horopoly.__file__).resolve().parents[1])
+    code = "import sys, horopoly.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
 
 
 class TestFlatTest:

@@ -31,7 +31,6 @@ from horopoly.horoboundary import (
     make_horofunction,
     psi,
     stratum_to_dual_point,
-    walsh_criterion,
 )
 from horopoly.norm import distance, gauge, polyhedral_norm
 from horopoly.polytope import convex_hull, face_lattice, face_of
@@ -216,10 +215,10 @@ def test_enumerate_strata_l1(l1):
 
 
 def test_walsh_criterion_counts(l1, hexn, square_ball):
-    report = walsh_criterion(l1)
-    assert report.satisfied and report.extreme_set_count == 9
-    assert walsh_criterion(polyhedral_norm(square_ball)).extreme_set_count == 9
-    assert walsh_criterion(hexn).extreme_set_count == 13
+    # extreme sets are the strata plus the whole dual ball
+    assert len(enumerate_strata(l1)) + 1 == 9
+    assert len(enumerate_strata(polyhedral_norm(square_ball))) + 1 == 9
+    assert len(enumerate_strata(hexn)) + 1 == 13
 
 
 def test_walsh_count_is_lattice_size():
@@ -227,9 +226,7 @@ def test_walsh_count_is_lattice_size():
     for dim in (2, 3):
         ball = rand_ball(rng, dim, 7)
         norm = polyhedral_norm(ball)
-        assert (walsh_criterion(norm).extreme_set_count
-                == len(face_lattice(norm.dual_ball)))
-        assert len(enumerate_strata(norm)) == walsh_criterion(norm).extreme_set_count - 1
+        assert len(enumerate_strata(norm)) == len(face_lattice(norm.dual_ball)) - 1
 
 
 def test_stratum_realisation_center_and_vertices(l1):

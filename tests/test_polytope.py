@@ -27,7 +27,6 @@ from horopoly.polytope import (
     Polytope,
     convex_hull,
     dilate,
-    dual_description,
     dual_face,
     f_vector,
     face_lattice,
@@ -177,7 +176,7 @@ def test_round_trip_v_h_v():
     for dim, count in [(2, 12), (3, 9), (4, 7)]:
         for _ in range(5):
             P = rand_ball(rng, dim, count)
-            assert dual_description(dual_description(P, "vertices"), "facets") == P
+            assert from_halfspaces(convex_hull(P.vertices).facets) == P
 
 
 def test_half_plane_is_unbounded():

@@ -2,25 +2,24 @@
 
 Derived counts are cross-checked against independent oracles: orbit
 sizes against explicit stabilizer counts, kernel bases against direct
-inner products with the defining roots, component splittings against
-pairwise orthogonality.
+inner products with the defining roots, the closed-form groups and
+parabolic subgroups against a breadth-first closure of their generators.
 """
 
-import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import rand_vector
-from horopoly._linalg import identity_matrix, mat_mul, mat_vec, rank, transpose, vdot
+from geomtest import identity_matrix, mat_mul, rand_vector
+from horopoly._linalg import mat_vec, rank, transpose, vdot
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.rootsys import (
     build,
     dominant_representative,
-    irreducible_components,
     named_weight,
     point_ambient,
     point_coords,
@@ -111,6 +110,51 @@ def test_group_orders():
     assert weyl_group(build("C", 2)).order == 8
     assert weyl_group(build("D", 3)).order == 24
     assert weyl_group(build("D", 4)).order == 192
+
+
+CLASSICAL_ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
+                    ("B", 2): 8, ("B", 3): 48, ("B", 4): 384,
+                    ("C", 2): 8, ("C", 3): 48, ("C", 4): 384,
+                    ("D", 3): 24, ("D", 4): 192}
+CLASSICAL = [build(f, r) for f, r in CLASSICAL_ORDERS]
+
+
+def generated_group(gens, n):
+    """Breadth-first closure of the generators, the oracle for the closed forms.
+
+    The generators here have integer entries, so the closure runs on ints.
+    """
+    gens = [tuple(tuple(int(x) for x in row) for row in g) for g in gens]
+    elems = {identity_matrix(n)}
+    frontier = list(elems)
+    while frontier:
+        frontier = list({mat_mul(g, m) for m in frontier for g in gens} - elems)
+        elems.update(frontier)
+    return tuple(sorted(elems))
+
+
+def test_closed_form_is_the_generated_group():
+    # the identity, closure under left multiplication by every generator
+    # and the classical order together force equality with the group the
+    # simple reflections generate
+    for rs in CLASSICAL:
+        W = weyl_group(rs)
+        elems = set(W.elements)
+        assert W.generators == tuple(reflection_matrix(a) for a in rs.simple_roots)
+        assert W.elements == tuple(sorted(elems))
+        assert len(elems) == CLASSICAL_ORDERS[rs.type_label, rs.rank]
+        assert identity_matrix(rs.ambient_dim) in elems
+        for g in W.generators:
+            assert all(mat_mul(g, m) in elems for m in W.elements)
+
+
+def test_subset_subgroup_is_generated_by_chosen_reflections():
+    for rs in CLASSICAL:
+        for k in range(rs.rank + 1):
+            for idxs in combinations(range(rs.rank), k):
+                gens = [reflection_matrix(rs.simple_roots[i]) for i in idxs]
+                assert (subset_data(rs, idxs).subgroup
+                        == generated_group(gens, rs.ambient_dim))
 
 
 def test_group_cap_guards_high_rank():
@@ -266,32 +310,6 @@ def test_subset_data_rejections():
         subset_data(rs, [2])
     with pytest.raises(InputError):
         subset_data(rs, [-1])
-
-
-def test_irreducible_components():
-    a3 = build("A", 3)
-    assert irreducible_components(a3, [0, 2]) == ((0,), (2,))
-    assert vdot(a3.simple_roots[0], a3.simple_roots[2]) == 0
-    assert irreducible_components(a3, [0, 1]) == ((0, 1),)
-    assert vdot(a3.simple_roots[0], a3.simple_roots[1]) != 0
-    assert irreducible_components(a3, []) == ()
-    assert irreducible_components(a3, [0, 1, 2]) == ((0, 1, 2),)
-    d4 = build("D", 4)
-    assert irreducible_components(d4, [0, 2, 3]) == ((0,), (2,), (3,))
-
-
-def test_components_are_orthogonal_and_connected():
-    rng = random.Random(73)
-    for rs in (build("A", 4), build("B", 4), build("D", 4)):
-        for _ in range(6):
-            idxs = sorted(rng.sample(range(rs.rank), rng.randint(0, rs.rank)))
-            parts = irreducible_components(rs, idxs)
-            assert sorted(i for p in parts for i in p) == idxs
-            for p in parts:
-                for q in parts:
-                    if p is not q:
-                        assert all(vdot(rs.simple_roots[i], rs.simple_roots[j]) == 0
-                                   for i in p for j in q)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from horopoly._linalg import mat_vec, vdot
 from horopoly.errors import InputError, PreconditionError
-from horopoly.horoboundary import enumerate_strata, walsh_criterion
+from horopoly.horoboundary import enumerate_strata
 from horopoly.norm import polyhedral_norm
 from horopoly.polytope import (
     Halfspace,
     convex_hull,
     f_vector,
+    face_lattice,
     from_halfspaces,
     hull_of_union,
     negate,
@@ -35,7 +36,6 @@ from horopoly.rootsys import (
 from horopoly.satake import (
     classify,
     combinatorial_summary,
-    dual_satake_ball,
     invariant_under,
     report_to_json,
     same_compactification,
@@ -139,20 +139,13 @@ def test_diamond_hull_gives_square_ball():
     assert set(ball.vertices) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
-def test_dual_satake_ball_is_the_hull():
-    hull = weight_hull(spec_of(A2, "adjoint"))
-    assert dual_satake_ball(hull) == hull
-    shifted = convex_hull([(0, 0), (1, 0), (0, 1)])
-    with pytest.raises(PreconditionError):
-        dual_satake_ball(shifted)
-
-
 def test_a3_adjoint_dual_ball_strata_count():
     hull = weight_hull(spec_of(A3, "adjoint"))
-    norm = polyhedral_norm(dual_satake_ball(hull))
+    # the weight hull is itself the unit ball of the dual compactification
+    norm = polyhedral_norm(hull)
     strata = enumerate_strata(norm)
     assert len(strata) == 50
-    assert walsh_criterion(norm).extreme_set_count == 51
+    assert len(face_lattice(norm.dual_ball)) == 51
 
 
 def test_duality_exchanges_f_vectors():
