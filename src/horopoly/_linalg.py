@@ -45,10 +45,6 @@ def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vneg(a):
-    return tuple(-x for x in a)
-
-
 def vscale(a, t):
     t = frac(t)
     return tuple(t * x for x in a)
@@ -175,10 +171,6 @@ def affine_span(points):
     origin = vec(pts[0])
     dirs = [vsub(vec(p), origin) for p in pts[1:]]
     return origin, span_basis(dirs)
-
-
-def affine_dim(points) -> int:
-    return len(affine_span(points)[1])
 
 
 def coords_in_basis(basis, v):

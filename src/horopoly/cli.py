@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -255,6 +256,8 @@ def _flat_rays(n: int, t_max: float) -> list:
     Slopes scale with t_max so the matrix exponentials stay inside the
     conditioning guard along the whole ladder of sample times.
     """
+    if not math.isfinite(t_max):
+        raise InputError("t_max must be positive and finite")
     den = max(1000, int(t_max) // 10)
     ramp = [Fraction(n - 1 - 2 * i, den * (n - 1)) for i in range(n)]
     rays = [("regular", tuple(ramp))]
@@ -357,8 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("limit-ray", help="boundary function of a ray")
     p.add_argument("--ball", required=True, help="unit ball JSON file")
-    p.add_argument("--q", required=True, help="ray start, e.g. 0,3")
-    p.add_argument("--u", required=True, help="ray direction, e.g. 1,0")
+    p.add_argument("--q", required=True,
+                   help="ray start, e.g. 0,3; one starting with - as --q=-1,0")
+    p.add_argument("--u", required=True,
+                   help="ray direction, e.g. 1,0; one starting with - as --u=-1,0")
     p.add_argument("--out", help="write the boundary function JSON here")
     p.set_defaults(func=_cmd_limit_ray)
 

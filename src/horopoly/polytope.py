@@ -8,6 +8,10 @@ duality works in:
 
     polar(B) = {y : <y|x> >= -1 for all x in B}.
 
+A polytope computes its facet-vertex incidence and its polar once, on
+first use, and keeps both on the instance; every face query (face_of,
+face_lattice, Face.support, dual_face) reads that one incidence.
+
 Designed for low dimensions (<= 4) and modest vertex counts; facet
 enumeration is a brute-force scan over vertex subsets, which is entirely
 adequate at that scale and keeps every step exact.
@@ -18,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from ._linalg import (
@@ -50,7 +54,7 @@ from .errors import (
 Vector = tuple  # tuple of Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Halfspace:
     """The closed halfspace {x : <functional|x> >= offset}, offset in {-1,0,1}."""
 
@@ -70,9 +74,6 @@ class Halfspace:
             # offset 0 leaves the scale free; pin it with the primitive form
             f = primitive(f)
         return Halfspace(f, c)
-
-    def value(self, x) -> Fraction:
-        return vdot(self.functional, x)
 
     def contains(self, x) -> bool:
         return vdot(self.functional, x) >= self.offset
@@ -115,6 +116,23 @@ class Polytope:
         return (self.is_full_dimensional and bool(self.facets)
                 and all(h.offset == -1 for h in self.facets))
 
+    @cached_property
+    def incidence(self) -> tuple:
+        """Per facet, in facet order, the frozenset of vertex indices on it."""
+        return tuple(frozenset(i for i, v in enumerate(self.vertices) if h.active_at(v))
+                     for h in self.facets)
+
+    @cached_property
+    def polar(self) -> "Polytope":
+        """The polar {y : <y|x> >= -1 for all x in P}; see polar_dual."""
+        if not self.has_origin_interior():
+            raise OriginNotInterior(
+                "polar duality needs a full-dimensional polytope with 0 interior")
+        m = self.ambient_dim
+        verts = tuple(sorted(h.functional for h in self.facets))
+        facets = tuple(sorted(Halfspace(v, Fraction(-1)) for v in self.vertices))
+        return Polytope(verts, facets, m, m)
+
 
 @dataclass(frozen=True)
 class Face:
@@ -126,8 +144,13 @@ class Face:
 
     parent: Polytope
     vertex_indices: tuple
-    support: tuple
     dim: int
+
+    @property
+    def support(self) -> tuple:
+        iset = set(self.vertex_indices)
+        return tuple(h for h, s in zip(self.parent.facets, self.parent.incidence)
+                     if iset <= s)
 
     @property
     def vertices(self) -> tuple:
@@ -238,9 +261,7 @@ def convex_hull(points) -> Polytope:
     d = len(basis)
     if d == m:
         verts, facets = _hull_full(pts, m)
-        return Polytope(tuple(sorted(verts)),
-                        tuple(sorted(facets, key=lambda h: (h.functional, h.offset))),
-                        m, m)
+        return Polytope(tuple(sorted(verts)), tuple(sorted(facets)), m, m)
     if d == 0:
         return Polytope((pts[0],), (), m, 0)
     # lower-dimensional: find the vertex set inside the affine span
@@ -265,8 +286,7 @@ def _region_is_bounded(halfspaces) -> bool:
 
 def from_halfspaces(halfspaces) -> Polytope:
     """Vertex enumeration for a bounded full-dimensional halfspace intersection."""
-    hs = sorted({Halfspace.normalized(h.functional, h.offset) for h in halfspaces},
-                key=lambda h: (h.functional, h.offset))
+    hs = sorted({Halfspace.normalized(h.functional, h.offset) for h in halfspaces})
     if not hs:
         raise EmptyInput("no halfspaces given")
     m = len(hs[0].functional)
@@ -291,34 +311,21 @@ def from_halfspaces(halfspaces) -> Polytope:
 # polarity and faces
 
 
-@lru_cache(maxsize=None)
 def polar_dual(P: Polytope) -> Polytope:
-    """The polar {y : <y|x> >= -1 for all x in P}.
+    """The polar {y : <y|x> >= -1 for all x in P}, kept on P once built.
 
     Needs 0 strictly interior.  Vertices of the polar are the facet
     functionals of P and vice versa, so the polar of the polar is P itself,
-    exactly and structurally.
+    exactly and structurally.  Facet i of the polar is the one of
+    P.vertices[i].
     """
-    if not P.has_origin_interior():
-        raise OriginNotInterior(
-            "polar duality needs a full-dimensional polytope with 0 interior")
-    m = P.ambient_dim
-    verts = tuple(sorted(h.functional for h in P.facets))
-    facets = tuple(sorted((Halfspace(v, Fraction(-1)) for v in P.vertices),
-                          key=lambda h: (h.functional, h.offset)))
-    return Polytope(verts, facets, m, m)
+    return P.polar
 
 
-def _face_from_index_set(P: Polytope, idxs, facet_sets=None) -> Face:
+def _face_from_index_set(P: Polytope, idxs) -> Face:
     idxs = tuple(sorted(idxs))
-    if facet_sets is None:
-        facet_sets = [frozenset(i for i, v in enumerate(P.vertices) if h.active_at(v))
-                      for h in P.facets]
-    iset = set(idxs)
-    support = tuple(h for h, s in zip(P.facets, facet_sets) if iset <= s)
     pts = [P.vertices[i] for i in idxs]
-    dim = len(affine_span(pts)[1])
-    return Face(P, idxs, support, dim)
+    return Face(P, idxs, len(affine_span(pts)[1]))
 
 
 def face_of(P: Polytope, vertex_indices) -> Face:
@@ -329,18 +336,16 @@ def face_of(P: Polytope, vertex_indices) -> Face:
     if any(i < 0 or i >= len(P.vertices) for i in idxs):
         raise InputError("vertex index out of range")
     if len(idxs) == len(P.vertices):
-        return Face(P, idxs, (), P.affine_dim)
+        return Face(P, idxs, P.affine_dim)
     if not P.facets:
         raise PreconditionError("faces need a facet description")
-    face = _face_from_index_set(P, idxs)
-    if not face.support:
+    rows = [s for s in P.incidence if s.issuperset(idxs)]
+    if not rows:
         raise NotAFace(f"{list(idxs)} is not the equality set of any facet subset")
-    equality = set(range(len(P.vertices)))
-    for h in face.support:
-        equality &= {i for i, v in enumerate(P.vertices) if h.active_at(v)}
-    if equality != set(idxs):
-        raise NotAFace(f"{list(idxs)} is not a face (closure is {sorted(equality)})")
-    return face
+    closure = frozenset.intersection(*rows)
+    if closure != set(idxs):
+        raise NotAFace(f"{list(idxs)} is not a face (closure is {sorted(closure)})")
+    return _face_from_index_set(P, idxs)
 
 
 def face_lattice(P: Polytope) -> tuple:
@@ -351,11 +356,10 @@ def face_lattice(P: Polytope) -> tuple:
     """
     n = len(P.vertices)
     if P.affine_dim == 0:
-        return (Face(P, (0,), (), 0),)
+        return (Face(P, (0,), 0),)
     if not P.facets:
         raise PreconditionError("face lattice needs a facet description")
-    facet_sets = [frozenset(i for i, v in enumerate(P.vertices) if h.active_at(v))
-                  for h in P.facets]
+    facet_sets = P.incidence
     proper = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:
@@ -367,8 +371,8 @@ def face_lattice(P: Polytope) -> tuple:
                     proper.add(t)
                     fresh.add(t)
         frontier = fresh
-    faces = [_face_from_index_set(P, s, facet_sets) for s in proper]
-    faces.append(Face(P, tuple(range(n)), (), P.affine_dim))
+    faces = [_face_from_index_set(P, s) for s in proper]
+    faces.append(Face(P, tuple(range(n)), P.affine_dim))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return tuple(faces)
 
@@ -391,9 +395,7 @@ def dual_face(P: Polytope, F: Face) -> Face:
     if not F.is_proper:
         raise PreconditionError("only proper faces have dual faces")
     Q = polar_dual(P)
-    fverts = F.vertices
-    idxs = [j for j, w in enumerate(Q.vertices)
-            if all(vdot(w, v) == -1 for v in fverts)]
+    idxs = frozenset.intersection(*(Q.incidence[i] for i in F.vertex_indices))
     if not idxs:
         raise NotAFace("empty dual face; input was not a face")
     return face_of(Q, idxs)
@@ -421,9 +423,8 @@ def negate(P: Polytope) -> Polytope:
     """The pointwise negation -P, computed structurally."""
     verts = tuple(sorted(tuple(-x for x in v) for v in P.vertices))
     facets = tuple(sorted(
-        (Halfspace.normalized(tuple(-x for x in h.functional), h.offset)
-         for h in P.facets),
-        key=lambda h: (h.functional, h.offset)))
+        Halfspace.normalized(tuple(-x for x in h.functional), h.offset)
+        for h in P.facets))
     return Polytope(verts, facets, P.ambient_dim, P.affine_dim)
 
 
@@ -434,9 +435,8 @@ def dilate(P: Polytope, t) -> Polytope:
         raise InputError("dilation factor must be positive")
     verts = tuple(sorted(vscale(v, t) for v in P.vertices))
     facets = tuple(sorted(
-        (Halfspace.normalized(vscale(h.functional, ONE / t), h.offset)
-         for h in P.facets),
-        key=lambda h: (h.functional, h.offset)))
+        Halfspace.normalized(vscale(h.functional, ONE / t), h.offset)
+        for h in P.facets))
     return Polytope(verts, facets, P.ambient_dim, P.affine_dim)
 
 
@@ -451,7 +451,7 @@ def _format_vec(v) -> list:
 def polytope_to_json(P: Polytope) -> dict:
     """JSON form: rationals as strings; facets included when 0 is interior."""
     out = {"dim": P.ambient_dim, "vertices": [_format_vec(v) for v in P.vertices]}
-    if P.facets and all(h.offset == -1 for h in P.facets):
+    if P.has_origin_interior():
         out["facets"] = [_format_vec(h.functional) for h in P.facets]
     return out
 

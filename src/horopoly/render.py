@@ -17,7 +17,6 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from ._linalg import vdot
 from .polytope import Polytope, f_vector
 
 
@@ -100,9 +99,9 @@ def render_svg(P: Polytope, wall_rays=(), labels: bool = False, points=()) -> st
     return "\n".join(lines) + "\n"
 
 
-def _facet_cycle(P: Polytope, h) -> list:
+def _facet_cycle(P: Polytope, h, on_facet) -> list:
     """Facet vertex indices, counterclockwise seen from outside the solid."""
-    idx = [i for i, v in enumerate(P.vertices) if vdot(h.functional, v) == h.offset]
+    idx = sorted(on_facet)
     pts = [tuple(float(c) for c in P.vertices[i]) for i in idx]
     cx = tuple(sum(p[k] for p in pts) / len(pts) for k in range(3))
     # outward normal: the halfspace keeps the body on the >= side
@@ -139,7 +138,7 @@ def render_off(P: Polytope) -> str:
     lines = ["OFF", "%d %d %d" % (nv, nf, ne)]
     for v in P.vertices:
         lines.append(" ".join(_fmt(c) for c in v))
-    for h in P.facets:
-        cyc = _facet_cycle(P, h)
+    for h, on_facet in zip(P.facets, P.incidence):
+        cyc = _facet_cycle(P, h, on_facet)
         lines.append(" ".join([str(len(cyc))] + [str(i) for i in cyc]))
     return "\n".join(lines) + "\n"

@@ -207,6 +207,12 @@ class TestBoundaryVerbs:
         assert code == 3
         assert "error:" in err
 
+    def test_negative_vectors_joined_with_equals(self, capsys, square_file):
+        code, out, _ = run(capsys, "limit-ray", "--ball", square_file,
+                           "--q=-1,0", "--u=-1,0")
+        assert code == 0
+        assert json.loads(out) == {"face": [3], "p": ["0", "0"]}
+
     def test_bad_vector_text(self, capsys, square_file):
         code, _, err = run(capsys, "limit-ray", "--ball", square_file,
                            "--q", "0;3", "--u", "1,0")
@@ -326,6 +332,15 @@ class TestFlatTest:
         assert code == 4
         doc = json.loads(out)
         assert doc["consistency"]["regular"]["status"] == "inconclusive"
+
+    @pytest.mark.parametrize("tmax", ["inf", "nan", "-5"])
+    def test_bad_horizon_rejected(self, tmp_path, capsys, hexagon_file, tmax):
+        ball = hull_out(tmp_path, capsys, hexagon_file)
+        code, out, err = run(capsys, "flat-test", "--n", "3", "--ball", ball,
+                             "--tmax", tmax)
+        assert code == 2
+        assert out == ""
+        assert "error: t_max must be positive and finite" in err
 
     def test_ball_without_symmetry_rejected(self, tmp_path, capsys,
                                             square_file):

@@ -5,7 +5,9 @@ a pairwise side-test facet oracle in the plane, a Cramer-rule vertex
 enumerator, and a facet-subset face enumerator.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -354,7 +356,7 @@ def test_relative_interior_point(square_ball):
     rng = random.Random(29)
     P = rand_ball(rng, 3, 8)
     c = relative_interior_point(P)
-    assert all(h.value(c) > h.offset for h in P.facets)
+    assert all(vdot(h.functional, c) > h.offset for h in P.facets)
 
 
 def test_negate_and_dilate_match_recomputed_hulls():
@@ -415,3 +417,50 @@ def test_polar_involution_property(P):
 @given(small_balls())
 def test_face_counts_are_polar_reversed(P):
     assert f_vector(polar_dual(P))[:-1] == f_vector(P)[-2::-1]
+
+
+def _incidence_scan(P):
+    return tuple(frozenset(i for i, v in enumerate(P.vertices) if h.active_at(v))
+                 for h in P.facets)
+
+
+def _dual_face_scan(P, F):
+    """The dual face's vertex indices by a direct scan over the polar."""
+    return tuple(j for j, w in enumerate(polar_dual(P).vertices)
+                 if all(vdot(w, v) == -1 for v in F.vertices))
+
+
+def _check_faces_against_scans(P):
+    assert P.incidence == _incidence_scan(P)
+    for F in face_lattice(P):
+        assert face_of(P, F.vertex_indices) == F
+        assert F.support == tuple(h for h in P.facets
+                                  if all(h.active_at(v) for v in F.vertices))
+        if F.is_proper:
+            assert dual_face(P, F).vertex_indices == _dual_face_scan(P, F)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_balls())
+def test_faces_from_incidence_match_scans(P):
+    _check_faces_against_scans(P)
+
+
+def test_faces_from_incidence_match_scans_in_dim_4():
+    rng = random.Random(37)
+    for count in (6, 7, 8):
+        _check_faces_against_scans(rand_ball(rng, 4, count))
+
+
+def test_no_module_cache_keeps_polytopes_alive():
+    P = rand_ball(random.Random(41), 3, 7)
+    Q = polar_dual(P)
+    assert polar_dual(P) is Q
+    assert polar_dual(Q) == P and polar_dual(Q) is not P
+    F = face_lattice(P)[0]
+    assert face_of(P, F.vertex_indices) == F
+    dual_face(P, F)
+    ref = weakref.ref(P)
+    del P, F
+    gc.collect()
+    assert ref() is None
