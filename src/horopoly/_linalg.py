@@ -97,13 +97,6 @@ def rref(rows):
     return [tuple(row) for row in m[:r]], pivots
 
 
-def rank(vectors) -> int:
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    return len(rref(vectors)[1])
-
-
 def solve_square(A, b):
     """Unique solution of A x = b for square A, or None when A is singular."""
     n = len(A)
@@ -171,14 +164,6 @@ def affine_span(points):
     origin = vec(pts[0])
     dirs = [vsub(vec(p), origin) for p in pts[1:]]
     return origin, span_basis(dirs)
-
-
-def coords_in_basis(basis, v):
-    """Coefficients c with sum(c_i * basis_i) = v, or None when v is outside."""
-    if not basis:
-        return () if is_zero_vec(v) else None
-    cols = transpose(basis)
-    return solve_system(cols, v)
 
 
 def project_onto_span(vectors, v):

@@ -12,9 +12,13 @@ A polytope computes its facet-vertex incidence and its polar once, on
 first use, and keeps both on the instance; every face query (face_of,
 face_lattice, Face.support, dual_face) reads that one incidence.
 
-Designed for low dimensions (<= 4) and modest vertex counts; facet
-enumeration is a brute-force scan over vertex subsets, which is entirely
-adequate at that scale and keeps every step exact.
+Designed for low dimensions (<= 4) and modest vertex counts.  Facets come
+from a scan over all m-point subsets in R^m: one elimination per subset
+gives the nullspace of its difference vectors, and a one-dimensional
+nullspace is a candidate normal, kept when every point lies on one side.
+The scan records which points each facet holds, and a point is a vertex
+exactly when the facets through it meet in that point alone.  Every step
+is exact.
 """
 
 from __future__ import annotations
@@ -28,12 +32,10 @@ from itertools import combinations
 from ._linalg import (
     ONE,
     affine_span,
-    coords_in_basis,
     frac,
     is_zero_vec,
     nullspace,
     primitive,
-    rank,
     solve_square,
     vdot,
     vec,
@@ -178,15 +180,6 @@ def _check_points(points):
     return sorted(set(pts)), m
 
 
-def _hyperplane_through(points):
-    """(normal, value) of the hyperplane through the points, or None."""
-    origin, basis = affine_span(points)
-    if len(basis) != len(origin) - 1:
-        return None
-    normal = nullspace(basis)[0]
-    return normal, vdot(normal, origin)
-
-
 def _cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -214,27 +207,30 @@ def _hull_2d(pts):
 
 def _hull_full(pts, m):
     """Facets and vertices of a full-dimensional hull via subset enumeration."""
-    if m == 1:
-        lo, hi = pts[0], pts[-1]
-        facets = [Halfspace.normalized((ONE,), lo[0]),
-                  Halfspace.normalized((-ONE,), -hi[0])]
-        return [lo, hi], facets
     if m == 2:
         return _hull_2d(pts)
 
-    facets = {}
+    facets = {}  # facet -> indices of the points on it
+    # scan from both ends of the sorted list inwards: the extreme points
+    # tend to lie on both sides of a candidate that is no facet, which ends
+    # its scan early (on a line, after two points)
+    order = sorted(range(len(pts)), key=lambda i: min(i, len(pts) - 1 - i))
     for comb in combinations(pts, m):
-        hp = _hyperplane_through(comb)
-        if hp is None:
+        normals = nullspace([vsub(p, comb[0]) for p in comb[1:]], ambient_dim=m)
+        if len(normals) != 1:
             continue
-        normal, value = hp
+        normal = normals[0]
+        value = vdot(normal, comb[0])
         above = below = False
-        for p in pts:
-            s = vdot(normal, p) - value
+        on = []
+        for i in order:
+            s = vdot(normal, pts[i]) - value
             if s > 0:
                 above = True
             elif s < 0:
                 below = True
+            else:
+                on.append(i)
             if above and below:
                 break
         if above and below:
@@ -243,15 +239,12 @@ def _hull_full(pts, m):
             hs = Halfspace.normalized(normal, value)
         else:
             hs = Halfspace.normalized(tuple(-x for x in normal), -value)
-        facets[hs] = None
+        facets[hs] = frozenset(on)
 
-    facet_list = list(facets)
-    verts = []
-    for p in pts:
-        active = [h.functional for h in facet_list if h.active_at(p)]
-        if len(active) >= m and rank(active) == m:
-            verts.append(p)
-    return verts, facet_list
+    everything = frozenset(range(len(pts)))
+    verts = [p for i, p in enumerate(pts)
+             if everything.intersection(*(s for s in facets.values() if i in s)) == {i}]
+    return verts, list(facets)
 
 
 def convex_hull(points) -> Polytope:
@@ -264,11 +257,10 @@ def convex_hull(points) -> Polytope:
         return Polytope(tuple(sorted(verts)), tuple(sorted(facets)), m, m)
     if d == 0:
         return Polytope((pts[0],), (), m, 0)
-    # lower-dimensional: find the vertex set inside the affine span
-    coord_map = {}
-    for p in pts:
-        c = coords_in_basis(basis, vsub(p, origin))
-        coord_map[c] = p
+    # lower-dimensional: hull the coordinates in the echelon basis, which
+    # is the identity in its pivot columns (each row's first nonzero, a 1)
+    pivots = [b.index(1) for b in basis]
+    coord_map = {tuple(p[j] - origin[j] for j in pivots): p for p in pts}
     sub = convex_hull(list(coord_map))
     verts = sorted(coord_map[c] for c in sub.vertices)
     return Polytope(tuple(verts), (), m, d)

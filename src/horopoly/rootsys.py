@@ -18,7 +18,6 @@ For the other families both charts are the identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -100,6 +99,7 @@ def build(type_label, rank) -> RootSystem:
         raise InputError("rank must be an integer")
     if rank < _MIN_RANK[label]:
         raise InputError(f"family {label} needs rank >= {_MIN_RANK[label]}")
+    _check_group_cap(label, rank)
     r = rank
     if label == "A":
         n = r + 1
@@ -149,12 +149,23 @@ def reflection_matrix(root) -> tuple:
                  for i in range(n))
 
 
-def _classical_order(label: str, r: int) -> int:
+def _check_group_cap(label: str, r: int) -> None:
+    """Refuse a group whose classical order exceeds the safety cap.
+
+    The order is (r+1)! for A_r, 2^r r! = 2 * 4 * ... * 2r for B_r and
+    C_r, and half that for D_r.  The product stops once past the cap, so
+    a huge rank is refused at once.
+    """
     if label == "A":
-        return math.factorial(r + 1)
-    if label in ("B", "C"):
-        return 2 ** r * math.factorial(r)
-    return 2 ** (r - 1) * math.factorial(r)
+        factors = range(2, r + 2)
+    else:
+        factors = range(4 if label == "D" else 2, 2 * r + 1, 2)
+    order = 1
+    for k in factors:
+        order *= k
+        if order > _GROUP_CAP:
+            raise PreconditionError(
+                f"{label}{r} group order exceeds the safety cap {_GROUP_CAP}")
 
 
 @lru_cache(maxsize=None)
@@ -166,10 +177,7 @@ def weyl_group(rs: RootSystem) -> WeylGroup:
     even number of sign changes.
     """
     label, n = rs.type_label, rs.ambient_dim
-    order = _classical_order(label, rs.rank)
-    if order > _GROUP_CAP:
-        raise PreconditionError(
-            f"group order {order} exceeds the safety cap {_GROUP_CAP}")
+    _check_group_cap(label, rs.rank)
     if label == "A":
         signs = [(ONE,) * n]
     else:

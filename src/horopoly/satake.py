@@ -11,9 +11,13 @@ Two choices are considered equivalent when their hulls admit a bijection
 of face lattices that preserves dimension and inclusion, commutes with
 the reflection group, and matches each face's incidence pattern against
 the chamber walls.  The decision procedure is an exhaustive backtracking
-search over lattice bijections, pruned by exact invariants (dimension,
-setwise stabilizer, wall-sign signature), so a False answer is a proof
-of non-existence rather than a heuristic failure.
+search over lattice bijections, pruned by exact invariants (dimension and
+wall-sign signature), so a False answer is a proof of non-existence
+rather than a heuristic failure.  The signature also fixes a face's
+setwise stabilizer: that is the stabilizer of the face's barycenter,
+which Steinberg's theorem generates from the reflections in the roots
+vanishing there.  A bijection commuting with the simple reflections
+commutes with the whole group, so the search acts through those alone.
 """
 
 from __future__ import annotations
@@ -182,25 +186,21 @@ class _LatticeProfile:
     """Face lattice of a hull with its group action and exact invariants."""
 
     def __init__(self, rs: RootSystem, hull: Polytope):
-        mats = weyl_weight_matrices(rs)
         faces = face_lattice(hull)
         self.sets = [frozenset(f.vertex_indices) for f in faces]
         index_of = {s: i for i, s in enumerate(self.sets)}
         vpos = {v: i for i, v in enumerate(hull.vertices)}
-        self.action = []
-        for m in mats:
+        self.action = []  # one face permutation per simple reflection
+        for g in weyl_group(rs).generators:
             try:
-                perm = tuple(vpos[mat_vec(m, v)] for v in hull.vertices)
+                perm = tuple(vpos[weight_coords(rs, mat_vec(g, weight_ambient(rs, v)))]
+                             for v in hull.vertices)
             except KeyError:
                 raise AssertionError("weight hull is not group invariant")
             self.action.append(tuple(index_of[frozenset(perm[i] for i in s)]
                                      for s in self.sets))
-        self.keys = []
-        for f, face in enumerate(faces):
-            stab = tuple(k for k in range(len(mats))
-                         if self.action[k][f] == f)
-            sig = _wall_signature(rs, relative_interior_point(face))
-            self.keys.append((face.dim, stab, sig))
+        self.keys = [(face.dim, _wall_signature(rs, relative_interior_point(face)))
+                     for face in faces]
         self.incl = [[a <= b for b in self.sets] for a in self.sets]
 
 
@@ -218,7 +218,6 @@ def same_compactification(spec1: WeightSpec, spec2: WeightSpec) -> bool:
                   for f in range(n)]
     assign = [None] * n
     taken = [False] * n
-    nmats = len(p1.action)
 
     def place(f: int, g: int, log: list) -> bool:
         """Assign the whole equivariant closure of f -> g; False on clash."""
@@ -239,8 +238,8 @@ def same_compactification(spec1: WeightSpec, spec2: WeightSpec) -> bool:
             assign[a] = b
             taken[b] = True
             log.append(a)
-            for k in range(nmats):
-                stack.append((p1.action[k][a], p2.action[k][b]))
+            for act1, act2 in zip(p1.action, p2.action):
+                stack.append((act1[a], act2[b]))
         return True
 
     def search() -> bool:

@@ -1,16 +1,36 @@
 """Shared helpers for the geometry test suite.
 
 Random rational data is produced from seeded random.Random instances so
-every run sees the same cases.
+every run sees the same cases.  oracle_hull is a second subset-scan hull
+for convex_hull to be checked against: it takes an affine span and then a
+nullspace per candidate, and finds vertices by a rank test on the facet
+normals through each point.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from horopoly.polytope import Polytope, convex_hull, relative_interior_point
-from horopoly._linalg import transpose, vsub
+from horopoly.polytope import (
+    Halfspace,
+    Polytope,
+    _hull_2d,
+    convex_hull,
+    relative_interior_point,
+)
+from horopoly._linalg import (
+    ONE,
+    affine_span,
+    is_zero_vec,
+    nullspace,
+    rref,
+    solve_system,
+    transpose,
+    vdot,
+    vsub,
+)
 
 
 def rand_fraction(rng: random.Random, num: int = 12, den: int = 6) -> Fraction:
@@ -54,3 +74,77 @@ def mat_mul(A, B) -> tuple:
 
 def identity_matrix(n: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def rank(vectors) -> int:
+    vectors = list(vectors)
+    if not vectors:
+        return 0
+    return len(rref(vectors)[1])
+
+
+def coords_in_basis(basis, v):
+    """Coefficients c with sum(c_i * basis_i) = v, or None when v is outside."""
+    if not basis:
+        return () if is_zero_vec(v) else None
+    cols = transpose(basis)
+    return solve_system(cols, v)
+
+
+def _hyperplane_through(points):
+    """(normal, value) of the hyperplane through the points, or None."""
+    origin, basis = affine_span(points)
+    if len(basis) != len(origin) - 1:
+        return None
+    normal = nullspace(basis)[0]
+    return normal, vdot(normal, origin)
+
+
+def _hull_full(pts, m):
+    """Facets and vertices of a full-dimensional hull via subset enumeration."""
+    if m == 1:
+        lo, hi = pts[0], pts[-1]
+        facets = [Halfspace.normalized((ONE,), lo[0]),
+                  Halfspace.normalized((-ONE,), -hi[0])]
+        return [lo, hi], facets
+    if m == 2:
+        return _hull_2d(pts)
+
+    facets = {}
+    for comb in combinations(pts, m):
+        hp = _hyperplane_through(comb)
+        if hp is None:
+            continue
+        normal, value = hp
+        above = below = False
+        for p in pts:
+            s = vdot(normal, p) - value
+            if s > 0:
+                above = True
+            elif s < 0:
+                below = True
+            if above and below:
+                break
+        if above and below:
+            continue
+        if above:
+            hs = Halfspace.normalized(normal, value)
+        else:
+            hs = Halfspace.normalized(tuple(-x for x in normal), -value)
+        facets[hs] = None
+
+    facet_list = list(facets)
+    verts = []
+    for p in pts:
+        active = [h.functional for h in facet_list if h.active_at(p)]
+        if len(active) >= m and rank(active) == m:
+            verts.append(p)
+    return verts, facet_list
+
+
+def oracle_hull(points) -> Polytope:
+    """The subset-scan hull of distinct full-dimensional points."""
+    pts = sorted(set(points))
+    m = len(pts[0])
+    verts, facets = _hull_full(pts, m)
+    return Polytope(tuple(sorted(verts)), tuple(sorted(facets)), m, m)

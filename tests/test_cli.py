@@ -183,6 +183,13 @@ class TestSatakeVerbs:
         assert code == 0
         assert json.loads(out)["same"] is False
 
+    def test_over_cap_rank_refused(self, capsys):
+        code, out, err = run(capsys, "classify", "--type", "A", "--rank", "80",
+                             "--weights", "adjoint")
+        assert code == 3
+        assert out == ""
+        assert "exceeds the safety cap 25000" in err
+
 
 class TestBoundaryVerbs:
     def test_strata_square(self, capsys, square_file):

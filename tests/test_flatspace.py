@@ -10,7 +10,8 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from horopoly._linalg import coords_in_basis, vdot, vec
+from geomtest import coords_in_basis
+from horopoly._linalg import vdot, vec
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
                                 consistency_report_to_json, exp_flat,

@@ -41,9 +41,9 @@ from horopoly.polytope import (
     polytope_to_json,
     relative_interior_point,
 )
-from horopoly._linalg import rank, vdot, vec, vsub
+from horopoly._linalg import mat_vec, vadd, vdot, vec, vsub
 
-from geomtest import rand_ball, rand_vector
+from geomtest import oracle_hull, rand_ball, rand_vector, rank
 
 F = Fraction
 
@@ -159,6 +159,57 @@ def test_hull_extreme_points_match_pairwise_oracle():
     oracle_vertices = {p for p in pts
                        if rank([h.functional for h in facets if h.active_at(p)]) == 2}
     assert set(P.vertices) == oracle_vertices
+
+
+def test_hull_skips_candidates_spanning_no_hyperplane():
+    # the triple on the edge from (1,0,0) to (0,1,0) leaves a 2-D
+    # nullspace; one of its normals gives the supporting plane x + y = 1,
+    # which meets the octahedron in that edge only
+    pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+           (F(1, 2), F(1, 2), 0)]
+    P = convex_hull(pts)
+    assert len(P.vertices) == 6 and len(P.facets) == 8
+    assert P == oracle_hull(pts)
+
+
+@st.composite
+def grid_point_sets(draw):
+    """Up to 10 points of a coarse rational grid in dim 1, 3 or 4.
+
+    The grid is small enough that duplicates, coplanar points and points
+    inside facets are common.
+    """
+    dim = draw(st.sampled_from((1, 3, 4)))
+    coord = st.sampled_from([F(k, 2) for k in range(-3, 4)])
+    return draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_point_sets())
+def test_hull_matches_subset_scan_oracle(points):
+    P = convex_hull(points)
+    if P.is_full_dimensional:
+        assert P == oracle_hull(points)
+
+
+@pytest.mark.parametrize("flat_dim, dim", [(1, 3), (2, 3), (2, 4), (3, 4)])
+def test_lower_dimensional_hull_matches_oracle_under_affine_map(flat_dim, dim):
+    """Points of R^flat_dim put into R^dim by an injective rational affine
+    map: the hull's vertices are the images of the oracle's vertices."""
+    rng = random.Random(100 * flat_dim + dim)
+    checked = 0
+    while checked < 15:
+        pts = [rand_vector(rng, flat_dim, num=3, den=2)
+               for _ in range(rng.randint(flat_dim + 1, 10))]
+        A = [rand_vector(rng, flat_dim, num=4, den=3) for _ in range(dim)]
+        if rank(A) < flat_dim or not convex_hull(pts).is_full_dimensional:
+            continue
+        b = rand_vector(rng, dim)
+        image = {p: vadd(mat_vec(A, p), b) for p in pts}
+        P = convex_hull(image.values())
+        assert P.affine_dim == flat_dim and P.facets == ()
+        assert P.vertices == tuple(sorted(image[v] for v in oracle_hull(pts).vertices))
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import identity_matrix, mat_mul, rand_vector
-from horopoly._linalg import mat_vec, rank, transpose, vdot
+from geomtest import identity_matrix, mat_mul, rand_vector, rank
+from horopoly._linalg import mat_vec, transpose, vdot
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.rootsys import (
     build,
@@ -160,6 +160,16 @@ def test_subset_subgroup_is_generated_by_chosen_reflections():
 def test_group_cap_guards_high_rank():
     with pytest.raises(PreconditionError):
         weyl_group(build("B", 6))
+
+
+def test_build_refuses_over_cap_rank():
+    for label, r in (("A", 40), ("A", 7), ("B", 6), ("C", 6), ("D", 7),
+                     ("A", 10**9)):
+        with pytest.raises(PreconditionError, match="safety cap"):
+            build(label, r)
+    # the largest ranks under the cap still build
+    for label, r in (("A", 6), ("B", 5), ("C", 5), ("D", 6)):
+        assert build(label, r).rank == r
 
 
 def test_elements_orthogonal_and_permute_roots():

@@ -26,6 +26,7 @@ from horopoly.polytope import (
     hull_of_union,
     negate,
     polar_dual,
+    relative_interior_point,
 )
 from horopoly.rootsys import (
     build,
@@ -34,6 +35,8 @@ from horopoly.rootsys import (
     weyl_weight_matrices,
 )
 from horopoly.satake import (
+    _LatticeProfile,
+    _wall_signature,
     classify,
     combinatorial_summary,
     invariant_under,
@@ -294,6 +297,64 @@ def test_standard_not_equivalent_to_generic():
     # a triangle and a hexagon differ already in face counts
     assert not same_compactification(spec_of(A2, "standard"),
                                      spec_of(A2, (2, 1, -3)))
+
+
+def test_equal_wall_signatures_give_equal_stabilizers():
+    """Faces with one (dim, wall signature) have one setwise stabilizer.
+
+    The equivalence search keys faces by that pair alone; the stabilizers
+    here come from brute force over the whole group.
+    """
+    specs = 0
+    for label, rank in (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2),
+                        ("C", 3), ("D", 3)):
+        rs = build(label, rank)
+        mats = weyl_weight_matrices(rs)
+        names = ["adjoint", "standard", "dual-standard"]
+        names += [f"fundamental:{k}" for k in range(1, rank + 1)]
+        for name in names:
+            try:
+                hull = weight_hull(spec_of(rs, name))
+            except PreconditionError:
+                continue
+            specs += 1
+            vpos = {v: i for i, v in enumerate(hull.vertices)}
+            perms = [[vpos[mat_vec(m, v)] for v in hull.vertices] for m in mats]
+            stabilizer_of = {}
+            for face in face_lattice(hull):
+                s = set(face.vertex_indices)
+                stab = frozenset(k for k, perm in enumerate(perms)
+                                 if {perm[i] for i in s} == s)
+                key = (face.dim, _wall_signature(rs, relative_interior_point(face)))
+                assert stabilizer_of.setdefault(key, stab) == stab, (label, rank, name)
+    assert specs >= 30
+
+
+def test_lattice_profile_generators_give_the_whole_action():
+    """The face permutations of the simple reflections generate exactly the
+    permutations of all group elements."""
+    for rs, name in ((A3, "adjoint"), (B2, "standard"), (build("C", 3), "fundamental:2"),
+                     (build("D", 3), "fundamental:3")):
+        hull = weight_hull(spec_of(rs, name))
+        profile = _LatticeProfile(rs, hull)
+        assert len(profile.action) == rs.rank
+        index_of = {s: i for i, s in enumerate(profile.sets)}
+        vpos = {v: i for i, v in enumerate(hull.vertices)}
+        whole = set()
+        for m in weyl_weight_matrices(rs):
+            perm = [vpos[mat_vec(m, v)] for v in hull.vertices]
+            whole.add(tuple(index_of[frozenset(perm[i] for i in s)]
+                            for s in profile.sets))
+        generated = {tuple(range(len(profile.sets)))}
+        frontier = list(generated)
+        while frontier:
+            p = frontier.pop()
+            for g in profile.action:
+                q = tuple(g[i] for i in p)
+                if q not in generated:
+                    generated.add(q)
+                    frontier.append(q)
+        assert generated == whole
 
 
 # ---------------------------------------------------------------------------
