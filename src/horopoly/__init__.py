@@ -1,9 +1,12 @@
 """Exact polyhedral horofunction compactifications.
 
 Polar-dual polytopes over the rationals, asymmetric polyhedral norms and
-their horofunction boundaries, Weyl orbit weight polytopes with the unit
-balls they induce, and a floating-point model of the corresponding
-symmetric-space flats.
+their horofunction boundaries, and Weyl orbit weight polytopes with the
+unit balls they induce.  Everything exported here is exact.
+
+The floating-point model of the corresponding symmetric-space flats is
+horopoly.flatspace, the one module that uses numpy.  Import it from there;
+neither this package nor the exact command line verbs load it.
 """
 
 from .errors import (
@@ -13,22 +16,6 @@ from .errors import (
     NotAFace,
     OriginNotInterior,
     PreconditionError,
-    UnboundedRegion,
-)
-from .flatspace import (
-    FlatSpace,
-    InvarianceConfig,
-    act,
-    cartan_projection,
-    exp_flat,
-    finsler_distance,
-    flat_limit,
-    flat_limit_consistency,
-    flat_space,
-    invariance_suite,
-    sequence_type_of_ray,
-    sequence_type_of_samples,
-    validate_spd,
 )
 from .horoboundary import (
     Horofunction,
@@ -38,7 +25,6 @@ from .horoboundary import (
     convexity_midpoint_test,
     enumerate_strata,
     evaluate,
-    horofunction_from_json,
     horofunction_to_json,
     horofunctions_equal,
     limit_of_ray,
@@ -51,14 +37,10 @@ from .polytope import (
     Halfspace,
     Polytope,
     convex_hull,
-    dilate,
     dual_face,
     f_vector,
     face_lattice,
     face_of,
-    from_halfspaces,
-    hull_of_union,
-    load_polytope,
     negate,
     polar_dual,
     polytope_from_json,
@@ -70,10 +52,8 @@ from .rootsys import (
     RootSystem,
     WeylGroup,
     build,
-    dominant_representative,
     named_weight,
     singular_support,
-    subset_data,
     weyl_group,
     weyl_orbit,
     weyl_point_matrices,
@@ -94,11 +74,9 @@ __all__ = [
     "DimensionMismatch",
     "EmptyInput",
     "Face",
-    "FlatSpace",
     "Halfspace",
     "Horofunction",
     "InputError",
-    "InvarianceConfig",
     "NotAFace",
     "OriginNotInterior",
     "PolyhedralNorm",
@@ -106,41 +84,26 @@ __all__ = [
     "PreconditionError",
     "RootSystem",
     "SequenceSample",
-    "UnboundedRegion",
     "WeylGroup",
-    "act",
     "almost_geodesic_check",
     "build",
-    "cartan_projection",
     "chain_check",
     "classify",
     "combinatorial_summary",
     "convex_hull",
     "convexity_midpoint_test",
-    "dilate",
     "distance",
-    "dominant_representative",
     "dual_face",
     "enumerate_strata",
     "evaluate",
-    "exp_flat",
     "f_vector",
     "face_lattice",
     "face_of",
-    "finsler_distance",
-    "flat_limit",
-    "flat_limit_consistency",
-    "flat_space",
-    "from_halfspaces",
     "gauge",
-    "horofunction_from_json",
     "horofunction_to_json",
     "horofunctions_equal",
-    "hull_of_union",
-    "invariance_suite",
     "invariant_under",
     "limit_of_ray",
-    "load_polytope",
     "make_horofunction",
     "named_weight",
     "negate",
@@ -156,11 +119,7 @@ __all__ = [
     "report_to_json",
     "same_compactification",
     "satake_ball",
-    "sequence_type_of_ray",
-    "sequence_type_of_samples",
     "singular_support",
-    "subset_data",
-    "validate_spd",
     "weight_hull",
     "weight_spec",
     "weyl_group",

@@ -18,12 +18,16 @@ def frac(x) -> Fraction:
 
     Floats convert to their exact binary value, which keeps the conversion
     deterministic; callers that want a short decimal should pass strings.
-    Booleans are refused rather than read as 0 and 1.
+    Booleans are refused rather than read as 0 and 1, and a zero
+    denominator such as "1/0" raises ValueError like any other bad string.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float) and isfinite(x):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
@@ -97,21 +101,11 @@ def rref(rows):
     return [tuple(row) for row in m[:r]], pivots
 
 
-def solve_square(A, b):
-    """Unique solution of A x = b for square A, or None when A is singular."""
-    n = len(A)
-    aug = [list(vec(row)) + [frac(b[i])] for i, row in enumerate(A)]
-    rows, pivots = rref(aug)
-    if len(pivots) < n or n in pivots:
-        return None
-    x = [ZERO] * n
-    for row, c in zip(rows, pivots):
-        x[c] = row[-1]
-    return tuple(x)
-
-
 def solve_system(A, b):
-    """Some solution of A x = b (free variables set to zero), or None."""
+    """Some solution of A x = b (free variables set to zero), or None.
+
+    For a nonsingular square A this is the unique solution.
+    """
     if not A:
         return None
     ncols = len(A[0])
@@ -173,7 +167,7 @@ def project_onto_span(vectors, v):
         return vzero(len(v))
     gram = [[vdot(bi, bj) for bj in basis] for bi in basis]
     rhs = [vdot(bi, v) for bi in basis]
-    coeffs = solve_square(gram, rhs)
+    coeffs = solve_system(gram, rhs)
     out = vzero(len(v))
     for c, bi in zip(coeffs, basis):
         out = vadd(out, vscale(bi, c))

@@ -24,13 +24,10 @@ from pathlib import Path
 
 from ._linalg import frac, nullspace, vdot
 from .errors import InputError, PreconditionError
-from .flatspace import (InvarianceConfig, consistency_report_to_json,
-                        flat_limit_consistency, flat_space,
-                        invariance_report_to_json, invariance_suite)
 from .horoboundary import (enumerate_strata, horofunction_to_json,
                            limit_of_ray)
 from .norm import polyhedral_norm
-from .polytope import (convex_hull, load_polytope, polar_dual,
+from .polytope import (convex_hull, polar_dual, polytope_from_json,
                        polytope_to_json)
 from .render import render_off, render_svg
 from .rootsys import (build, named_weight, point_ambient, weight_ambient)
@@ -70,7 +67,7 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -122,7 +119,7 @@ def _coerce_point(p) -> tuple:
 
 
 def _cmd_dual(args) -> int:
-    P = load_polytope(args.polytope)
+    P = polytope_from_json(_load_json(args.polytope))
     D = polar_dual(P)
     _emit_json(polytope_to_json(D), args.out)
     if args.out:
@@ -168,7 +165,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    norm = polyhedral_norm(load_polytope(args.ball))
+    norm = polyhedral_norm(polytope_from_json(_load_json(args.ball)))
     strata = enumerate_strata(norm)
     # The extreme sets of a polytope are its faces: the proper ones, which
     # are the strata, plus the whole ball.  There are finitely many, so
@@ -189,7 +186,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_limit_ray(args) -> int:
-    norm = polyhedral_norm(load_polytope(args.ball))
+    norm = polyhedral_norm(polytope_from_json(_load_json(args.ball)))
     h = limit_of_ray(norm, _parse_vector(args.q), _parse_vector(args.u))
     _emit_json(horofunction_to_json(h), args.out)
     return 0
@@ -216,7 +213,7 @@ def _wall_rays(family: str, rank: int, chart: str) -> list:
 
 
 def _cmd_render(args) -> int:
-    P = load_polytope(args.polytope)
+    P = polytope_from_json(_load_json(args.polytope))
     if P.ambient_dim > 3:
         raise InputError("rendering supports dimensions 2 and 3 only")
     if args.format == "svg":
@@ -270,7 +267,12 @@ def _flat_rays(n: int, t_max: float) -> list:
 
 
 def _cmd_flat_test(args) -> int:
-    ball = load_polytope(args.ball)
+    # the float layer, and numpy with it, loads for this verb alone
+    from .flatspace import (InvarianceConfig, consistency_report_to_json,
+                            flat_limit_consistency, flat_space,
+                            invariance_report_to_json, invariance_suite)
+
+    ball = polytope_from_json(_load_json(args.ball))
     fs = flat_space(args.n, ball)
     grid = _flat_grid(args.n)
     start = (Fraction(0),) * args.n

@@ -22,10 +22,6 @@ class EmptyInput(InputError):
     pass
 
 
-class UnboundedRegion(PreconditionError):
-    """A halfspace intersection that is empty or has a nontrivial recession cone."""
-
-
 class OriginNotInterior(PreconditionError):
     """The origin must be a strictly interior point for polar duality and gauges."""
 

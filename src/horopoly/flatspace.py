@@ -23,12 +23,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._linalg import frac, solve_square, vadd, vdot, vec, vscale, vzero
+from ._linalg import frac, project_onto_span, vadd, vdot, vec, vscale, vzero
 from .errors import DimensionMismatch, InputError, PreconditionError
 from .horoboundary import Horofunction, evaluate, limit_of_ray
 from .horoboundary import psi as chart_psi
 from .norm import PolyhedralNorm, gauge, polyhedral_norm
-from .rootsys import RootSystem, build, subset_data, weyl_point_matrices
+from .rootsys import RootSystem, build, weyl_point_matrices
 from .satake import invariant_under
 
 _COND_LIMIT = 1e12
@@ -175,29 +175,15 @@ def flat_limit(fs: FlatSpace, start, direction) -> Horofunction:
 
 @dataclass(frozen=True)
 class SequenceType:
-    """Divergence type of a chamber ray or sample sequence.
+    """Divergence type of a chamber ray.
 
     indices: positions of the simple roots whose pairing stays bounded.
     limit: the vector in the span of those roots realizing the limiting
-    pairings (exact rationals for symbolic rays, floats for samples).
+    pairings, in exact rationals.
     """
 
     indices: tuple
     limit: tuple
-
-
-def _wall_component(rs: RootSystem, indices, values) -> tuple:
-    """Vector in the span of the chosen simple roots with given pairings."""
-    if not indices:
-        return vzero(rs.ambient_dim)
-    basis = subset_data(rs, indices).root_span_basis
-    rows = [[vdot(rs.simple_roots[i], b) for b in basis] for i in indices]
-    coeffs = solve_square(rows, [frac(v) for v in values])
-    assert coeffs is not None  # Gram-type matrix of independent roots
-    out = vzero(rs.ambient_dim)
-    for c, b in zip(coeffs, basis):
-        out = vadd(out, vscale(b, c))
-    return out
 
 
 def sequence_type_of_ray(rs: RootSystem, start, direction) -> SequenceType:
@@ -205,8 +191,10 @@ def sequence_type_of_ray(rs: RootSystem, start, direction) -> SequenceType:
 
     The ray must eventually enter the closed dominant chamber and must be
     unbounded there; the bounded simple-root pairings are read off the
-    direction's zero pairings, and the limit vector solves their limiting
-    values inside the span of the corresponding roots.
+    direction's zero pairings.  Those pairings keep their values at start
+    along the whole ray, so the limit vector, the one vector in the span
+    of the corresponding roots with these pairings, is the orthogonal
+    projection of start onto that span.
     """
     start = vec(start)
     direction = vec(direction)
@@ -221,47 +209,8 @@ def sequence_type_of_ray(rs: RootSystem, start, direction) -> SequenceType:
     if all(u == 0 for u in pair_u):
         raise PreconditionError("bounded ray, no divergence type")
     indices = tuple(i for i, u in enumerate(pair_u) if u == 0)
-    limit = _wall_component(rs, indices, [pair_h[i] for i in indices])
+    limit = project_onto_span([rs.simple_roots[i] for i in indices], start)
     return SequenceType(indices=indices, limit=limit)
-
-
-def sequence_type_of_samples(rs: RootSystem, samples,
-                             convergence_tol: float = 1e-6,
-                             growth_min: float = 1.0) -> SequenceType:
-    """Classify a sampled divergent sequence in the closed chamber.
-
-    A simple-root pairing counts as settled when its last three samples
-    agree to convergence_tol, and as growing when it gained at least
-    growth_min overall without receding at the end.  Anything ambiguous,
-    and sequences with every pairing settled, are rejected.
-    """
-    pts = [tuple(float(x) for x in s) for s in samples]
-    if len(pts) < 3:
-        raise InputError("need at least three samples to classify a sequence")
-    if any(len(p) != rs.ambient_dim for p in pts):
-        raise DimensionMismatch("samples do not live in the ambient space")
-    roots = [tuple(float(c) for c in a) for a in rs.simple_roots]
-    series = [[sum(c * x for c, x in zip(a, p)) for p in pts] for a in roots]
-    for v in series:
-        if min(v) < -1e-9:
-            raise PreconditionError(
-                "samples must lie in the closed dominant chamber")
-    settled_idx = []
-    for i, v in enumerate(series):
-        settled = (abs(v[-1] - v[-2]) <= convergence_tol
-                   and abs(v[-1] - v[-3]) <= convergence_tol)
-        growing = (v[-1] - v[0] >= growth_min
-                   and v[-1] >= v[-2] - convergence_tol)
-        if settled and not growing:
-            settled_idx.append(i)
-        elif not (growing and not settled):
-            raise PreconditionError(
-                "sample horizon too short to classify the sequence")
-    if len(settled_idx) == rs.rank:
-        raise PreconditionError("bounded sequence, no divergence type")
-    indices = tuple(settled_idx)
-    limit = _wall_component(rs, indices, [series[i][-1] for i in indices])
-    return SequenceType(indices=indices, limit=tuple(float(x) for x in limit))
 
 
 @dataclass(frozen=True)
@@ -552,8 +501,7 @@ def invariance_suite(fs: FlatSpace, config: InvarianceConfig | None = None) -> I
 
 
 def sequence_type_to_json(st: SequenceType) -> dict:
-    limit = [str(x) if isinstance(x, Fraction) else float(x) for x in st.limit]
-    return {"indices": list(st.indices), "limit": limit}
+    return {"indices": list(st.indices), "limit": [str(x) for x in st.limit]}
 
 
 def consistency_report_to_json(report: FlatLimitReport) -> dict:

@@ -43,7 +43,7 @@ from ._linalg import (
     vzero,
 )
 from .errors import InputError, NotAFace, PreconditionError
-from .norm import PolyhedralNorm, distance, gauge, pseudo_norm
+from .norm import PolyhedralNorm, distance, pseudo_norm
 from .polytope import Face, dual_face, face_lattice, face_of, relative_interior_point
 
 
@@ -318,12 +318,3 @@ def convexity_midpoint_test(norm: PolyhedralNorm, ray1, ray2, lam, samples,
 def horofunction_to_json(h: Horofunction) -> dict:
     return {"face": list(h.face.vertex_indices),
             "p": [str(x) for x in h.basepoint]}
-
-
-def horofunction_from_json(norm: PolyhedralNorm, obj) -> Horofunction:
-    if not isinstance(obj, dict) or "face" not in obj or "p" not in obj:
-        raise InputError("horofunction JSON needs 'face' and 'p' keys")
-    E = face_of(norm.dual_ball, obj["face"])
-    if not E.is_proper:
-        raise InputError("'face' must be a proper face of the dual ball")
-    return make_horofunction(norm, E, vec(obj["p"]))

@@ -23,7 +23,6 @@ is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,7 +35,6 @@ from ._linalg import (
     is_zero_vec,
     nullspace,
     primitive,
-    solve_square,
     vdot,
     vec,
     vscale,
@@ -50,7 +48,6 @@ from .errors import (
     NotAFace,
     OriginNotInterior,
     PreconditionError,
-    UnboundedRegion,
 )
 
 Vector = tuple  # tuple of Fraction
@@ -266,39 +263,6 @@ def convex_hull(points) -> Polytope:
     return Polytope(tuple(verts), (), m, d)
 
 
-def _region_is_bounded(halfspaces) -> bool:
-    """True iff the intersection of the halfspaces has trivial recession cone.
-
-    The recession cone {x : <u|x> >= 0 for all functionals u} is trivial
-    exactly when 0 is interior to the hull of the functionals.
-    """
-    hull = convex_hull([h.functional for h in halfspaces])
-    return hull.has_origin_interior()
-
-
-def from_halfspaces(halfspaces) -> Polytope:
-    """Vertex enumeration for a bounded full-dimensional halfspace intersection."""
-    hs = sorted({Halfspace.normalized(h.functional, h.offset) for h in halfspaces})
-    if not hs:
-        raise EmptyInput("no halfspaces given")
-    m = len(hs[0].functional)
-    if any(len(h.functional) != m for h in hs):
-        raise DimensionMismatch("halfspaces must share one ambient dimension")
-    if len(hs) <= m or not _region_is_bounded(hs):
-        raise UnboundedRegion("halfspace intersection is unbounded")
-    candidates = set()
-    for comb in combinations(hs, m):
-        x = solve_square([h.functional for h in comb], [h.offset for h in comb])
-        if x is not None and all(h.contains(x) for h in hs):
-            candidates.add(x)
-    if not candidates:
-        raise UnboundedRegion("halfspace intersection is empty")
-    P = convex_hull(candidates)
-    if not P.is_full_dimensional:
-        raise PreconditionError("halfspace intersection is not full-dimensional")
-    return P
-
-
 # ---------------------------------------------------------------------------
 # polarity and faces
 
@@ -405,29 +369,11 @@ def relative_interior_point(obj) -> tuple:
     return out
 
 
-def hull_of_union(P: Polytope, Q: Polytope) -> Polytope:
-    if P.ambient_dim != Q.ambient_dim:
-        raise DimensionMismatch("polytopes live in different dimensions")
-    return convex_hull(P.vertices + Q.vertices)
-
-
 def negate(P: Polytope) -> Polytope:
     """The pointwise negation -P, computed structurally."""
     verts = tuple(sorted(tuple(-x for x in v) for v in P.vertices))
     facets = tuple(sorted(
         Halfspace.normalized(tuple(-x for x in h.functional), h.offset)
-        for h in P.facets))
-    return Polytope(verts, facets, P.ambient_dim, P.affine_dim)
-
-
-def dilate(P: Polytope, t) -> Polytope:
-    """The dilate t * P for a positive rational t, computed structurally."""
-    t = frac(t)
-    if t <= 0:
-        raise InputError("dilation factor must be positive")
-    verts = tuple(sorted(vscale(v, t) for v in P.vertices))
-    facets = tuple(sorted(
-        Halfspace.normalized(vscale(h.functional, ONE / t), h.offset)
         for h in P.facets))
     return Polytope(verts, facets, P.ambient_dim, P.affine_dim)
 
@@ -470,12 +416,3 @@ def polytope_from_json(obj) -> Polytope:
         if not P.has_origin_interior() or given != actual:
             raise InputError("facet list does not match the vertex data")
     return P
-
-
-def load_polytope(path) -> Polytope:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return polytope_from_json(obj)

@@ -14,7 +14,6 @@ given polytope always renders to the identical byte string.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InputError
 from .polytope import Polytope, f_vector

@@ -27,9 +27,7 @@ from ._linalg import (
     ONE,
     ZERO,
     mat_vec,
-    nullspace,
     solve_system,
-    span_basis,
     transpose,
     vdot,
     vec,
@@ -67,23 +65,6 @@ class WeylGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class SimpleSubset:
-    """Data attached to a subset of the simple roots.
-
-    fixed_basis spans the intersection of the chosen roots' kernels (the
-    directions the generated subgroup fixes pointwise); root_span_basis
-    spans its orthogonal complement, the span of the chosen roots; the
-    two dimensions add up to the rank.
-    """
-
-    root_system: RootSystem
-    indices: tuple
-    fixed_basis: tuple
-    root_span_basis: tuple
-    subgroup: tuple
 
 
 def _unit(n: int, i: int) -> tuple:
@@ -198,22 +179,6 @@ def weyl_orbit(group: WeylGroup, v) -> tuple:
     return tuple(sorted({mat_vec(m, v) for m in group.elements}))
 
 
-def dominant_representative(rs: RootSystem, v) -> tuple:
-    """The unique orbit point paired nonnegatively with every simple root."""
-    v = vec(v)
-    if len(v) != rs.ambient_dim:
-        raise DimensionMismatch("vector does not live in the ambient space")
-    moved = True
-    while moved:
-        moved = False
-        for a in rs.simple_roots:
-            t = vdot(a, v)
-            if t < 0:
-                v = vsub(v, vscale(a, 2 * t / vdot(a, a)))
-                moved = True
-    return v
-
-
 def singular_support(rs: RootSystem, v) -> tuple:
     """Indices of the simple roots vanishing on a dominant vector."""
     v = vec(v)
@@ -223,25 +188,6 @@ def singular_support(rs: RootSystem, v) -> tuple:
     if any(t < 0 for t in values):
         raise PreconditionError("vector is not dominant")
     return tuple(i for i, t in enumerate(values) if t == 0)
-
-
-def subset_data(rs: RootSystem, indices) -> SimpleSubset:
-    """Kernel/span splitting and reflection subgroup for chosen simple roots."""
-    idxs = tuple(sorted(set(indices)))
-    if any(not isinstance(i, int) or i < 0 or i >= rs.rank for i in idxs):
-        raise InputError("simple-root indices must lie in range(rank)")
-    rows = [rs.simple_roots[i] for i in idxs]
-    if rs.type_label == "A":
-        rows = rows + [tuple(Fraction(1) for _ in range(rs.ambient_dim))]
-    fixed = nullspace(rows, ambient_dim=rs.ambient_dim)
-    span = span_basis([rs.simple_roots[i] for i in idxs])
-    if len(fixed) + len(span) != rs.rank:
-        raise AssertionError("kernel/span dimensions do not add to the rank")
-    # Steinberg: the pointwise stabiliser of the fixed space is the
-    # subgroup the chosen simple reflections generate.
-    subgroup = tuple(m for m in weyl_group(rs).elements
-                     if all(mat_vec(m, v) == v for v in fixed))
-    return SimpleSubset(rs, idxs, tuple(fixed), tuple(span), subgroup)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Random rational data is produced from seeded random.Random instances so
 every run sees the same cases.  oracle_hull is a second subset-scan hull
 for convex_hull to be checked against: it takes an affine span and then a
 nullspace per candidate, and finds vertices by a rank test on the facet
-normals through each point.
+normals through each point.  oracle_vertex_enumeration goes the other
+way, from halfspaces to vertices, for polar duals to be checked against.
 """
 
 from __future__ import annotations
@@ -148,3 +149,22 @@ def oracle_hull(points) -> Polytope:
     m = len(pts[0])
     verts, facets = _hull_full(pts, m)
     return Polytope(tuple(sorted(verts)), tuple(sorted(facets)), m, m)
+
+
+def oracle_vertex_enumeration(halfspaces) -> Polytope:
+    """Hull of the feasible vertices of a bounded halfspace intersection.
+
+    Each m-subset of halfspaces with independent functionals meets in one
+    point; the feasible ones are the candidates.
+    """
+    hs = list(halfspaces)
+    m = len(hs[0].functional)
+    candidates = set()
+    for comb in combinations(hs, m):
+        rows = [h.functional for h in comb]
+        if rank(rows) < m:
+            continue
+        x = solve_system(rows, [h.offset for h in comb])
+        if all(h.contains(x) for h in hs):
+            candidates.add(x)
+    return convex_hull(candidates)

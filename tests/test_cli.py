@@ -312,12 +312,76 @@ class TestArgumentHandling:
         assert not (tmp_path / "sink").exists()
 
 
-def test_cli_import_leaves_scipy_out():
-    src = str(Path(horopoly.__file__).resolve().parents[1])
-    code = "import sys, horopoly.cli; sys.exit('scipy' in sys.modules)"
+SRC = str(Path(horopoly.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).parent / "golden"
+SPEC = ["--type", "A", "--rank", "2", "--weights", "adjoint"]
+
+
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_cli_import_leaves_scipy_out(module):
+    code = f"import sys, horopoly.cli; sys.exit({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["hull", "cross_points.json"],
+    ["dual", "square_ball.json"],
+    ["satake", *SPEC],
+    ["classify", *SPEC],
+    ["strata", "--ball", "square_ball.json"],
+    ["limit-ray", "--ball", "square_ball.json", "--q=0,1", "--u=1,0"],
+    ["render", "square_ball.json", "--format", "svg"],
+    ["render", "cube_ball.json", "--format", "off"],
+    ["compare", *SPEC, "--weights2", "standard"],
+], ids=["hull", "dual", "satake", "classify", "strata", "limit-ray",
+        "render-svg", "render-off", "compare"])
+def test_exact_verbs_leave_numpy_out(argv):
+    # exit 10 flags numpy loaded by a verb that otherwise succeeded
+    code = ("import sys; from horopoly.cli import main; code = main(sys.argv[1:]); "
+            "sys.exit(10 if 'numpy' in sys.modules else code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=GOLDEN,
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["hull", "points.json"],
+    ["dual", "ball.json"],
+    ["strata", "--ball", "ball.json"],
+    ["satake", *SPEC, "--scale", "1/0"],
+    ["classify", *SPEC, "--scale", "1/0"],
+    ["compare", *SPEC, "--weights2", "standard", "--scale2", "1/0"],
+    ["limit-ray", "--ball", str(GOLDEN / "square_ball.json"), "--q=1/0,0",
+     "--u=1,0"],
+], ids=lambda argv: argv[0])
+def test_zero_denominator_is_input_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("points.json").write_text('[["1/0", "0"], ["0", "1"], ["-1", "-1"]]')
+    Path("ball.json").write_text(
+        '{"vertices": [["1/0", "0"], ["0", "1"], ["-1", "-1"]]}')
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hull", "bad.json"],
+    ["dual", "bad.json"],
+    ["strata", "--ball", "bad.json"],
+    ["render", str(GOLDEN / "square_ball.json"), "--format", "svg",
+     "--points", "bad.json"],
+], ids=lambda argv: argv[0])
+def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys, monkeypatch,
+                                              argv):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_bytes(b"\xff\xfe[[1, 0]]")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON in bad.json")
 
 
 class TestFlatTest:

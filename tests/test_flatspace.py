@@ -21,7 +21,7 @@ from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
                                 psi, psi_flat, sample_block_rotation,
                                 sample_block_unipotent, sample_rotation,
                                 sample_spd, sequence_type_of_ray,
-                                sequence_type_of_samples, validate_spd)
+                                validate_spd)
 from horopoly.horoboundary import evaluate
 from horopoly.polytope import convex_hull
 from horopoly.rootsys import build, point_coords
@@ -251,25 +251,6 @@ class TestSequenceTypes:
             sequence_type_of_ray(rs, (1, 0, -1), (1, 1, 1))
         with pytest.raises(DimensionMismatch):
             sequence_type_of_ray(rs, (1, 0), (1, 0))
-
-    def test_samples_match_symbolic(self, fs3):
-        rs = fs3.root_system
-        samples = [(t + 1.0, t, -2.0 * t - 1.0) for t in range(1, 9)]
-        st = sequence_type_of_samples(rs, samples)
-        assert st.indices == (0,)
-        assert max(abs(v - w) for v, w in zip(st.limit, (0.5, -0.5, 0.0))) <= 1e-9
-
-    def test_sample_rejections(self, fs3):
-        rs = fs3.root_system
-        with pytest.raises(InputError):
-            sequence_type_of_samples(rs, [(1, 0, -1), (2, 0, -2)])
-        with pytest.raises(PreconditionError):
-            sequence_type_of_samples(rs, [(1, 0, -1)] * 5)
-        with pytest.raises(PreconditionError):
-            sequence_type_of_samples(rs, [(-t, 0, t) for t in range(1, 6)])
-        slow = [(t / 20.0, 0.0, -t / 20.0) for t in range(1, 9)]
-        with pytest.raises(PreconditionError):
-            sequence_type_of_samples(rs, slow)
 
 
 class TestLimitConsistency:

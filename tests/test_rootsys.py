@@ -15,17 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomtest import identity_matrix, mat_mul, rand_vector, rank
-from horopoly._linalg import mat_vec, transpose, vdot
+from horopoly._linalg import mat_vec, nullspace, transpose, vdot
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.rootsys import (
     build,
-    dominant_representative,
     named_weight,
     point_ambient,
     point_coords,
     reflection_matrix,
     singular_support,
-    subset_data,
     weight_ambient,
     weight_coords,
     weyl_group,
@@ -149,12 +147,18 @@ def test_closed_form_is_the_generated_group():
 
 
 def test_subset_subgroup_is_generated_by_chosen_reflections():
+    # Steinberg: the elements of W fixing the chosen roots' common kernel
+    # pointwise form the group the chosen simple reflections generate
     for rs in CLASSICAL:
+        W = weyl_group(rs)
         for k in range(rs.rank + 1):
             for idxs in combinations(range(rs.rank), k):
+                fixed = nullspace([rs.simple_roots[i] for i in idxs],
+                                  ambient_dim=rs.ambient_dim)
+                stabiliser = tuple(m for m in W.elements
+                                   if all(mat_vec(m, v) == v for v in fixed))
                 gens = [reflection_matrix(rs.simple_roots[i]) for i in idxs]
-                assert (subset_data(rs, idxs).subgroup
-                        == generated_group(gens, rs.ambient_dim))
+                assert stabiliser == generated_group(gens, rs.ambient_dim)
 
 
 def test_group_cap_guards_high_rank():
@@ -243,13 +247,6 @@ def test_orbit_dimension_mismatch():
         weyl_orbit(weyl_group(rs), (1, 0))
 
 
-def test_dominant_representative_frozen():
-    rs = build("A", 2)
-    assert dominant_representative(rs, (-1, 0, 1)) == (1, 0, -1)
-    assert dominant_representative(rs, (1, 0, -1)) == (1, 0, -1)
-    assert dominant_representative(rs, (1, 1, -2)) == (1, 1, -2)
-
-
 def test_each_orbit_meets_chamber_once():
     rng = random.Random(67)
     for rs in (build("A", 2), build("B", 2), build("C", 3)):
@@ -260,7 +257,6 @@ def test_each_orbit_meets_chamber_once():
             dom = [w for w in orbit
                    if all(vdot(a, w) >= 0 for a in rs.simple_roots)]
             assert len(dom) == 1
-            assert dominant_representative(rs, v) == dom[0]
 
 
 def test_singular_support():
@@ -270,56 +266,6 @@ def test_singular_support():
     assert singular_support(a3, (0, 0, 0, 0)) == (0, 1, 2)
     with pytest.raises(PreconditionError):
         singular_support(a3, (0, 1, 2, 3))
-
-
-# ---------------------------------------------------------------------------
-# simple-root subsets
-
-
-def test_subset_data_empty_and_full():
-    rs = build("A", 2)
-    empty = subset_data(rs, [])
-    assert len(empty.fixed_basis) == 2 and empty.root_span_basis == ()
-    assert len(empty.subgroup) == 1
-    full = subset_data(rs, [0, 1])
-    assert full.fixed_basis == () and len(full.root_span_basis) == 2
-    assert set(full.subgroup) == set(weyl_group(rs).elements)
-
-
-def test_subset_data_single_wall_a2():
-    rs = build("A", 2)
-    data = subset_data(rs, [0])
-    assert len(data.fixed_basis) == 1 and len(data.root_span_basis) == 1
-    assert len(data.subgroup) == 2
-
-
-def test_subset_fixed_space_oracle():
-    # basis vectors of the fixed space are killed by each chosen root, and
-    # the subgroup fixes them pointwise
-    rng = random.Random(71)
-    for rs in (build("A", 3), build("B", 3), build("D", 4)):
-        for _ in range(4):
-            idxs = sorted(rng.sample(range(rs.rank), rng.randint(0, rs.rank)))
-            data = subset_data(rs, idxs)
-            assert len(data.fixed_basis) + len(data.root_span_basis) == rs.rank
-            for b in data.fixed_basis:
-                for i in idxs:
-                    assert vdot(rs.simple_roots[i], b) == 0
-                for m in data.subgroup:
-                    assert mat_vec(m, b) == b
-            # the root span is preserved setwise by the subgroup
-            span_rank = rank(data.root_span_basis)
-            for m in data.subgroup:
-                imgs = [mat_vec(m, b) for b in data.root_span_basis]
-                assert rank(list(data.root_span_basis) + imgs) == span_rank
-
-
-def test_subset_data_rejections():
-    rs = build("A", 2)
-    with pytest.raises(InputError):
-        subset_data(rs, [2])
-    with pytest.raises(InputError):
-        subset_data(rs, [-1])
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +396,3 @@ def test_reflections_are_orthogonal_involutions(seed):
     assert mat_mul(s, s) == identity_matrix(dim)
     assert mat_mul(transpose(s), s) == identity_matrix(dim)
     assert mat_vec(s, root) == tuple(-x for x in root)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6))
-def test_dominant_representative_is_in_orbit(seed):
-    rng = random.Random(seed)
-    rs = build("A", 2)
-    v = rand_vector(rng, 3)
-    dom = dominant_representative(rs, v)
-    assert all(vdot(a, dom) >= 0 for a in rs.simple_roots)
-    assert dom in weyl_orbit(weyl_group(rs), v)
-    assert dominant_representative(rs, dom) == dom

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomtest import oracle_vertex_enumeration
 from horopoly._linalg import mat_vec, vdot
 from horopoly.errors import InputError, PreconditionError
 from horopoly.horoboundary import enumerate_strata
@@ -22,8 +23,6 @@ from horopoly.polytope import (
     convex_hull,
     f_vector,
     face_lattice,
-    from_halfspaces,
-    hull_of_union,
     negate,
     polar_dual,
     relative_interior_point,
@@ -113,8 +112,8 @@ def test_standard_hull_is_triangle_with_zero_interior():
 
 def oracle_classical_polar(P):
     """{x : <v|x> <= 1 for every vertex v}, built by halfspace intersection."""
-    return from_halfspaces([Halfspace.normalized(tuple(-x for x in v), -1)
-                            for v in P.vertices])
+    return oracle_vertex_enumeration(
+        [Halfspace.normalized(tuple(-x for x in v), -1) for v in P.vertices])
 
 
 def test_satake_ball_equals_classical_polar_oracle():
@@ -181,7 +180,7 @@ def test_invariant_under_detects_asymmetry():
 def test_union_of_standard_and_dual_standard_is_wall_hexagon():
     d1 = weight_hull(spec_of(A2, "standard"))
     d2 = weight_hull(spec_of(A2, "dual-standard"))
-    union = hull_of_union(d1, d2)
+    union = convex_hull(d1.vertices + d2.vertices)
     assert f_vector(union) == (6, 6, 1)
     mats = weyl_weight_matrices(A2)
     for v in union.vertices:
