@@ -6,11 +6,16 @@ Everything operates on tuples of Fraction; nothing here touches floats.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# up to this decimal exponent a dim-4 hull prints within the 4300-digit limit
+_EXPONENT_CAP = 500
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 def frac(x) -> Fraction:
@@ -18,11 +23,18 @@ def frac(x) -> Fraction:
 
     Floats convert to their exact binary value, which keeps the conversion
     deterministic; callers that want a short decimal should pass strings.
-    Booleans are refused rather than read as 0 and 1, and a zero
-    denominator such as "1/0" raises ValueError like any other bad string.
+    Booleans are refused rather than read as 0 and 1.  A zero denominator
+    such as "1/0", and a decimal exponent beyond +-500 such as "1e5000",
+    raise ValueError like any other bad string, the latter before the
+    number is built.
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        m = _EXPONENT.search(x)
+        digits = m.group(1).replace("_", "").lstrip("0") if m else ""
+        if len(digits) > 3 or int(digits or 0) > _EXPONENT_CAP:
+            raise ValueError(f"decimal exponent beyond +-{_EXPONENT_CAP} in {x!r}")
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)

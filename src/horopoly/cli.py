@@ -31,9 +31,8 @@ from .polytope import (convex_hull, polar_dual, polytope_from_json,
                        polytope_to_json)
 from .render import render_off, render_svg
 from .rootsys import (build, named_weight, point_ambient, weight_ambient)
-from .satake import (_report, classify, report_to_json,
-                     same_compactification, satake_ball, weight_hull,
-                     weight_spec)
+from .satake import (classify, report_to_json, same_compactification,
+                     satake_ball, weight_hull, weight_spec)
 
 
 def _out_path(path: str) -> Path:
@@ -132,7 +131,7 @@ def _cmd_satake(args) -> int:
     rs, spec = _spec_from_flags(args.family, args.rank, args.weights, args.scale)
     hull = weight_hull(spec)
     ball = satake_ball(hull)
-    report = _report(spec, hull, ball)
+    report = classify(spec)
     any_file = bool(args.out or args.ball or args.report)
     if any_file:
         if args.out:
@@ -272,6 +271,7 @@ def _cmd_flat_test(args) -> int:
                             flat_limit_consistency, flat_space,
                             invariance_report_to_json, invariance_suite)
 
+    config = InvarianceConfig(seed=args.seed)
     ball = polytope_from_json(_load_json(args.ball))
     fs = flat_space(args.n, ball)
     grid = _flat_grid(args.n)
@@ -283,7 +283,7 @@ def _cmd_flat_test(args) -> int:
                                      t_max=args.tmax, tol=args.tol)
         consistency[label] = consistency_report_to_json(rep)
         statuses.append(rep.status)
-    inv = invariance_suite(fs, InvarianceConfig(seed=args.seed))
+    inv = invariance_suite(fs, config)
     doc = {
         "n": args.n,
         "seed": args.seed,

@@ -35,15 +35,11 @@ _COND_LIMIT = 1e12
 _SYMMETRY_TOL = 1e-12
 _DET_TOL = 1e-9
 _SAMPLE_COND = 1e4
+_SPREAD_GUARD = math.log(_COND_LIMIT / 10.0)  # log spread a decade inside
 
 
-def validate_spd(matrix) -> np.ndarray:
-    """Check a point of the space and return it as a float array.
-
-    Accepts anything numpy can coerce to a square matrix; enforces size
-    2..4, symmetry to 1e-12, a positive spectrum, and determinant within
-    1e-9 of one.
-    """
+def _point(matrix) -> tuple:
+    """validate_spd without the condition guard; returns (array, cond)."""
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError("expected a square matrix")
@@ -54,10 +50,26 @@ def validate_spd(matrix) -> np.ndarray:
         raise InputError("matrix entries must be finite")
     if float(np.max(np.abs(M - M.T))) > _SYMMETRY_TOL:
         raise InputError("matrix is not symmetric")
-    if float(np.linalg.eigvalsh(M)[0]) <= 0.0:
+    vals = np.linalg.eigvalsh(M)
+    if float(vals[0]) <= 0.0:
         raise InputError("matrix is not positive definite")
-    if abs(float(np.linalg.det(M)) - 1.0) > _DET_TOL:
+    if abs(float(np.prod(vals)) - 1.0) > _DET_TOL:
         raise InputError("matrix determinant must equal 1")
+    return M, float(vals[-1] / vals[0])
+
+
+def validate_spd(matrix) -> np.ndarray:
+    """Check a point of the space and return it as a float array.
+
+    Accepts anything numpy can coerce to a square matrix; enforces size
+    2..4 and symmetry to 1e-12, then reads off one eigvalsh a positive
+    spectrum, a determinant (the eigenvalue product) within 1e-9 of one,
+    and a condition number at most 1e12, which alone raises
+    PreconditionError.
+    """
+    M, cond = _point(matrix)
+    if cond > _COND_LIMIT:
+        raise PreconditionError("point condition number exceeds 1e12")
     return M
 
 
@@ -128,13 +140,12 @@ def cartan_projection(P, Q) -> tuple:
     the sorted logarithmic generalized spectrum, re-centered to trace zero.
     Both points must have condition number at most 1e12.
     """
-    P = validate_spd(P)
-    Q = validate_spd(Q)
+    P, cond_p = _point(P)
+    Q, cond_q = _point(Q)
     if P.shape != Q.shape:
         raise DimensionMismatch("points have different matrix sizes")
-    for M in (P, Q):
-        if float(np.linalg.cond(M)) > _COND_LIMIT:
-            raise PreconditionError("point condition number exceeds 1e12")
+    if max(cond_p, cond_q) > _COND_LIMIT:
+        raise PreconditionError("point condition number exceeds 1e12")
     L = np.linalg.cholesky(P)
     vals = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, Q).T))
     logs = np.log(vals)[::-1]
@@ -266,8 +277,7 @@ def flat_limit_consistency(fs: FlatSpace, start, direction, test_points,
 
     h = flat_limit(fs, start, direction)
     targets = [evaluate(h, flat_chart(fs, p)) for p in pts]
-    guard = math.log(_COND_LIMIT / 10.0)
-    points_conditioned = all(_spread(fs, p) < guard for p in pts)
+    points_conditioned = all(_spread(fs, p) < _SPREAD_GUARD for p in pts)
     point_mats = [exp_flat(p) for p in pts] if points_conditioned else None
 
     rows = []
@@ -277,7 +287,7 @@ def flat_limit_consistency(fs: FlatSpace, start, direction, test_points,
         Hz = vadd(start, vscale(direction, frac(t)))
         defect = max(abs(float(psi_flat(fs, Hz, p) - targets[j]))
                      for j, p in enumerate(pts))
-        if points_conditioned and _spread(fs, Hz) < guard:
+        if points_conditioned and _spread(fs, Hz) < _SPREAD_GUARD:
             z = exp_flat(Hz)
             for j, x in enumerate(point_mats):
                 defect = max(defect, abs(psi(fs, z, x) - float(targets[j])))
@@ -355,7 +365,7 @@ def sample_block_rotation(rng, n: int, indices) -> np.ndarray:
     return g
 
 
-def sample_block_unipotent(rng, n: int, indices, scale: float = 0.5) -> np.ndarray:
+def sample_block_unipotent(rng, n: int, indices) -> np.ndarray:
     """Random upper unipotent matrix vanishing inside the glued blocks."""
     blocks = _index_blocks(n, indices)
     owner = {i: k for k, block in enumerate(blocks) for i in block}
@@ -363,30 +373,43 @@ def sample_block_unipotent(rng, n: int, indices, scale: float = 0.5) -> np.ndarr
     for i in range(n):
         for j in range(i + 1, n):
             if owner[i] != owner[j]:
-                g[i, j] = rng.uniform(-scale, scale)
+                g[i, j] = rng.uniform(-_UNIPOTENT_SCALE, _UNIPOTENT_SCALE)
     return g
+
+
+# the invariance report's fixed plan: ray times, final limit tolerance,
+# allowed rise between times, and the cross-block unipotent entry range
+_T_SCHEDULE = (10.0, 31.6, 100.0, 316.0, 1000.0)
+_LIMIT_TOL = 1e-3
+_NOISE_BAND = 1e-6
+_UNIPOTENT_SCALE = 0.5
 
 
 @dataclass(frozen=True)
 class InvarianceConfig:
     """Sampling plan for the invariance report.
 
-    ray_start and ray_direction are ambient flat vectors; both default to
-    the origin and a gentle regular ramp whose exponentials stay inside
-    the conditioning guard across the whole t_schedule.
+    The ray starts at the origin and follows ray_direction, an ambient
+    flat vector that defaults to a gentle regular ramp whose exponentials
+    stay inside the conditioning guard up to t = 1000, the last scheduled
+    time.  Sample counts and the tolerance must be positive and the seed
+    non-negative; a violation raises InputError on construction.
     """
 
     samples: int = 100
     seed: int = 7
     invariance_tol: float = 1e-9
-    ray_start: tuple | None = None
     ray_direction: tuple | None = None
-    t_schedule: tuple = (10.0, 31.6, 100.0, 316.0, 1000.0)
-    limit_tol: float = 1e-3
-    noise_band: float = 1e-6
     point_samples: int = 20
     group_samples: int = 6
-    unipotent_scale: float = 0.5
+
+    def __post_init__(self):
+        if self.samples < 1 or self.point_samples < 1 or self.group_samples < 1:
+            raise InputError("sample counts must be positive")
+        if not self.invariance_tol > 0:
+            raise InputError("invariance_tol must be positive")
+        if self.seed < 0:
+            raise InputError("the sampling seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -430,23 +453,14 @@ def invariance_suite(fs: FlatSpace, config: InvarianceConfig | None = None) -> I
     reused across the schedule, so the decay rows track fixed elements.
     """
     cfg = config or InvarianceConfig()
-    if cfg.samples < 1 or cfg.point_samples < 1 or cfg.group_samples < 1:
-        raise InputError("sample counts must be positive")
-    if not (cfg.invariance_tol > 0 and cfg.limit_tol > 0 and cfg.noise_band >= 0):
-        raise InputError("tolerances must be positive")
-    schedule = tuple(float(t) for t in cfg.t_schedule)
-    if not schedule or any(t <= 0 for t in schedule) or list(schedule) != sorted(schedule):
-        raise InputError("t_schedule must be ascending and positive")
     n = fs.n
-    start = vec(cfg.ray_start) if cfg.ray_start is not None else vzero(n)
     direction = (vec(cfg.ray_direction) if cfg.ray_direction is not None
                  else _default_ray_direction(n))
-    ray_type = sequence_type_of_ray(fs.root_system, start, direction)
-    guard = math.log(_COND_LIMIT / 10.0)
-    for t in schedule:
-        if _spread(fs, vadd(start, vscale(direction, frac(t)))) >= guard:
-            raise InputError(
-                "t_schedule drives the ray outside the conditioning guard")
+    ray_type = sequence_type_of_ray(fs.root_system, vzero(n), direction)
+    # the spread grows linearly along the ray, so the last time decides
+    if _spread(fs, vscale(direction, frac(_T_SCHEDULE[-1]))) >= _SPREAD_GUARD:
+        raise InputError("ray_direction leaves the conditioning guard "
+                         "before the last scheduled time")
 
     rng = np.random.default_rng(cfg.seed)
     eye = np.eye(n)
@@ -471,11 +485,11 @@ def invariance_suite(fs: FlatSpace, config: InvarianceConfig | None = None) -> I
     points = [sample_spd(rng, n) for _ in range(cfg.point_samples)]
     movers = ([sample_block_rotation(rng, n, ray_type.indices)
                for _ in range(cfg.group_samples)]
-              + [sample_block_unipotent(rng, n, ray_type.indices, cfg.unipotent_scale)
+              + [sample_block_unipotent(rng, n, ray_type.indices)
                  for _ in range(cfg.group_samples)])
     rows = []
-    for t in schedule:
-        z = exp_flat(vadd(start, vscale(direction, frac(t))))
+    for t in _T_SCHEDULE:
+        z = exp_flat(vscale(direction, frac(t)))
         defect = 0.0
         for x in points:
             here = finsler_distance(fs, x, z)
@@ -483,7 +497,7 @@ def invariance_suite(fs: FlatSpace, config: InvarianceConfig | None = None) -> I
                 defect = max(defect, abs(finsler_distance(fs, act(g, x), z) - here))
         rows.append((t, defect))
 
-    monotone = all(rows[k + 1][1] <= rows[k][1] + cfg.noise_band
+    monotone = all(rows[k + 1][1] <= rows[k][1] + _NOISE_BAND
                    for k in range(len(rows) - 1))
     return InvarianceReport(
         basepoint_defect=base_defect,
@@ -491,12 +505,12 @@ def invariance_suite(fs: FlatSpace, config: InvarianceConfig | None = None) -> I
         limit_defects=tuple(rows),
         basepoint_ok=base_defect <= cfg.invariance_tol,
         equivariance_ok=equi_defect <= cfg.invariance_tol,
-        limit_ok=rows[-1][1] <= cfg.limit_tol,
+        limit_ok=rows[-1][1] <= _LIMIT_TOL,
         limit_monotone=monotone,
         ray_type=ray_type,
         invariance_tol=cfg.invariance_tol,
-        limit_tol=cfg.limit_tol,
-        noise_band=cfg.noise_band,
+        limit_tol=_LIMIT_TOL,
+        noise_band=_NOISE_BAND,
     )
 
 

@@ -24,15 +24,13 @@ numeric-oracle tests exploit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from ._linalg import (
     frac,
     is_zero_vec,
-    nullspace,
     project_onto_span,
     span_basis,
     vadd,
@@ -44,7 +42,7 @@ from ._linalg import (
 )
 from .errors import InputError, NotAFace, PreconditionError
 from .norm import PolyhedralNorm, distance, pseudo_norm
-from .polytope import Face, dual_face, face_lattice, face_of, relative_interior_point
+from .polytope import Face, dual_face, face_lattice, face_of
 
 
 @dataclass(frozen=True)
@@ -75,12 +73,6 @@ class SequenceSample:
         return SequenceSample(pts, b)
 
 
-def _span_of_dual_face(norm: PolyhedralNorm, E: Face):
-    """Basis of V(dual face of E), the linear span of its vertex vectors."""
-    F = dual_face(norm.dual_ball, E)
-    return span_basis(F.vertices)
-
-
 def make_horofunction(norm: PolyhedralNorm, E: Face, p) -> Horofunction:
     """Build h_{E,p} with the basepoint projected to its canonical position.
 
@@ -97,7 +89,8 @@ def make_horofunction(norm: PolyhedralNorm, E: Face, p) -> Horofunction:
     p = vec(p)
     if len(p) != norm.dim:
         raise InputError("basepoint dimension does not match the space")
-    canonical = vsub(p, project_onto_span(_span_of_dual_face(norm, E), p))
+    span = span_basis(dual_face(norm.dual_ball, E).vertices)
+    canonical = vsub(p, project_onto_span(span, p))
     return Horofunction(norm, E, canonical)
 
 
@@ -145,81 +138,6 @@ def enumerate_strata(norm: PolyhedralNorm) -> tuple:
     The stratum of a face E is parametrised by a space of dimension dim E.
     """
     return tuple((f, f.dim) for f in face_lattice(norm.dual_ball) if f.is_proper)
-
-
-# ---------------------------------------------------------------------------
-# stratum realisation
-
-
-def _floats(v) -> list:
-    return [float(x) for x in v]
-
-
-def _gram_schmidt(rows: Sequence[Sequence[float]]) -> list:
-    out: list = []
-    for row in rows:
-        w = list(row)
-        for q in out:
-            c = sum(a * b for a, b in zip(w, q))
-            w = [a - c * b for a, b in zip(w, q)]
-        n = math.sqrt(sum(a * a for a in w))
-        if n > 1e-12:
-            out.append([a / n for a in w])
-    return out
-
-
-def stratum_to_dual_point(h: Horofunction) -> tuple:
-    """Realise a boundary function as a point in the relative interior of
-    its face.
-
-    Vertex faces map to the vertex itself.  Otherwise the canonical
-    basepoint lives in a space of dimension dim E; it is sent through a
-    fixed linear isomorphism, the bounded radial map v -> v/(1 + |v|_2),
-    and an affine map onto an inscribed ball of the relative interior.
-    Injective on each stratum; basepoint 0 lands on the barycenter.
-    """
-    E = h.face
-    if E.dim == 0:
-        return tuple(_floats(E.vertices[0]))
-    norm = h.norm
-    center = relative_interior_point(E)
-    # orthonormal frame for the direction space of E
-    v0 = E.vertices[0]
-    frame = _gram_schmidt([_floats(vsub(v, v0)) for v in E.vertices[1:]])
-    if len(frame) != E.dim:
-        raise AssertionError("face frame does not match its dimension")
-    # inscribed radius around the barycenter: distance to the affine hulls
-    # of the codimension-one subfaces bounds the relative boundary away
-    lattice = face_lattice(norm.dual_ball)
-    sub = [G for G in lattice
-           if G.dim == E.dim - 1 and set(G.vertex_indices) < set(E.vertex_indices)]
-    c_f = _floats(center)
-    rho = None
-    for G in sub:
-        g0 = G.vertices[0]
-        gframe = _gram_schmidt([_floats(vsub(v, g0)) for v in G.vertices[1:]])
-        diff = [a - b for a, b in zip(c_f, _floats(g0))]
-        for q in gframe:
-            t = sum(a * b for a, b in zip(diff, q))
-            diff = [a - t * b for a, b in zip(diff, q)]
-        dist = math.sqrt(sum(a * a for a in diff))
-        rho = dist if rho is None else min(rho, dist)
-    if rho is None:
-        raise AssertionError("positive-dimensional face without subfaces")
-    # coordinates of the basepoint in the parameter space
-    perp = nullspace(_span_of_dual_face(norm, E), ambient_dim=norm.dim)
-    qframe = _gram_schmidt([_floats(b) for b in perp])
-    if len(qframe) != E.dim:
-        raise AssertionError("parameter space dimension mismatch")
-    p_f = _floats(h.basepoint)
-    t = [sum(a * b for a, b in zip(p_f, q)) for q in qframe]
-    scale = 1.0 + math.sqrt(sum(a * a for a in t))
-    s = [a / scale for a in t]
-    out = list(c_f)
-    for coeff, direction in zip(s, frame):
-        for i, d in enumerate(direction):
-            out[i] += rho * coeff * d
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from ._linalg import frac, mat_vec, vdot, vec, vscale
@@ -44,7 +45,6 @@ from .rootsys import (
     weight_coords,
     weyl_group,
     weyl_orbit,
-    weyl_weight_matrices,
 )
 
 
@@ -53,6 +53,20 @@ class WeightSpec:
     root_system: RootSystem
     highest_weights: tuple
     scale: Fraction
+
+    @cached_property
+    def hull(self) -> Polytope:
+        """Convex hull of the scaled orbit points, in weight-chart coordinates."""
+        rs = self.root_system
+        group = weyl_group(rs)
+        pts = [vscale(weight_coords(rs, p), self.scale)
+               for chi in self.highest_weights
+               for p in weyl_orbit(group, chi)]
+        hull = convex_hull(pts)
+        if hull.affine_dim < rs.rank or not hull.has_origin_interior():
+            raise PreconditionError(
+                "weight hull lacks 0 as an interior point and cannot be a unit ball")
+        return hull
 
 
 @dataclass(frozen=True)
@@ -83,17 +97,8 @@ def weight_spec(rs: RootSystem, weights, scale=1) -> WeightSpec:
 
 
 def weight_hull(spec: WeightSpec) -> Polytope:
-    """Convex hull of the scaled orbit points, in weight-chart coordinates."""
-    rs = spec.root_system
-    group = weyl_group(rs)
-    pts = [vscale(weight_coords(rs, p), spec.scale)
-           for chi in spec.highest_weights
-           for p in weyl_orbit(group, chi)]
-    hull = convex_hull(pts)
-    if hull.affine_dim < rs.rank or not hull.has_origin_interior():
-        raise PreconditionError(
-            "weight hull lacks 0 as an interior point and cannot be a unit ball")
-    return hull
+    """The spec's weight hull, built once and kept on the spec."""
+    return spec.hull
 
 
 def satake_ball(hull: Polytope) -> Polytope:
@@ -118,19 +123,14 @@ def _wall_signature(rs: RootSystem, chart_point) -> tuple:
 
 
 def classify(spec: WeightSpec) -> CompactificationReport:
-    hull = weight_hull(spec)
-    return _report(spec, hull, satake_ball(hull))
-
-
-def _report(spec: WeightSpec, hull: Polytope,
-            ball: Polytope) -> CompactificationReport:
-    """The report on an already built weight hull and its ball."""
+    """The report on the spec's weight hull and its ball."""
     rs = spec.root_system
+    hull = spec.hull
     supports = tuple(singular_support(rs, w) for w in spec.highest_weights)
     fv = f_vector(hull)
     return CompactificationReport(
         hull_f_vector=fv,
-        ball_f_vector=f_vector(ball),
+        ball_f_vector=f_vector(satake_ball(hull)),
         vertices=hull.vertices,
         facet_count=len(hull.facets),
         singular_supports=supports,
@@ -144,12 +144,11 @@ def _recognize_shape(rs: RootSystem, hull: Polytope, fv: tuple) -> Optional[str]
         return "hexagon"
     if hull.affine_dim == 3 and fv == (12, 24, 14, 1):
         return "cuboctahedron"
-    group = weyl_group(rs)
-    if len(hull.vertices) == group.order:
-        orbit = {mat_vec(m, hull.vertices[0])
-                 for m in weyl_weight_matrices(rs)}
-        if orbit == set(hull.vertices):
-            return "permutohedron"
+    # The vertex set is group invariant, so a vertex on no wall has a free
+    # orbit, and when there are |W| vertices that orbit is all of them.
+    if (len(hull.vertices) == weyl_group(rs).order
+            and 0 not in _wall_signature(rs, hull.vertices[0])):
+        return "permutohedron"
     return None
 
 
@@ -209,8 +208,8 @@ def same_compactification(spec1: WeightSpec, spec2: WeightSpec) -> bool:
     if spec1.root_system != spec2.root_system:
         raise InputError("specs must share a root system")
     rs = spec1.root_system
-    p1 = _LatticeProfile(rs, weight_hull(spec1))
-    p2 = _LatticeProfile(rs, weight_hull(spec2))
+    p1 = _LatticeProfile(rs, spec1.hull)
+    p2 = _LatticeProfile(rs, spec2.hull)
     n = len(p1.sets)
     if n != len(p2.sets) or sorted(p1.keys) != sorted(p2.keys):
         return False

@@ -96,7 +96,8 @@ class TestHullDual:
         assert code == 2
 
     @pytest.mark.parametrize("text", ["[[1e400, 0], [0, 1], [-1, -1]]",
-                                      "[[true, 0], [0, 1], [-1, -1]]"])
+                                      "[[true, 0], [0, 1], [-1, -1]]",
+                                      '[["1e5000", "0"], ["0", "1"], ["-1", "-1"]]'])
     def test_hull_rejects_non_rational_numbers(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -376,6 +377,34 @@ def test_zero_denominator_is_input_error(tmp_path, capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["dual", "ball.json"],
+    ["satake", *SPEC, "--scale", "1e-600"],
+    ["classify", *SPEC, "--scale", "1e100000"],
+    ["classify", *SPEC, "--scale", "1e1000000"],
+    ["compare", *SPEC, "--weights2", "standard", "--scale2", "1E1_000"],
+    ["limit-ray", "--ball", str(GOLDEN / "square_ball.json"), "--q=1e5000,0",
+     "--u=1,0"],
+], ids=["dual", "satake", "classify-1e100000", "classify-1e1000000", "compare",
+        "limit-ray"])
+def test_decimal_exponent_beyond_cap_is_input_error(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("ball.json").write_text(
+        '{"vertices": [["1e-501", "0"], ["0", "1"], ["-1", "-1"]]}')
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and "Traceback" not in err
+
+
+def test_decimal_exponent_at_cap_is_accepted(tmp_path, capsys):
+    points = tmp_path / "points.json"
+    points.write_text('[["1e500", "0"], ["0", "1e-500"], ["-1", "-1"]]')
+    code, out, _ = run(capsys, "hull", str(points))
+    assert code == 0
+    assert ["1" + "0" * 500, "0"] in json.loads(out)["vertices"]
+
+
+@pytest.mark.parametrize("argv", [
     ["hull", "bad.json"],
     ["dual", "bad.json"],
     ["strata", "--ball", "bad.json"],
@@ -419,6 +448,16 @@ class TestFlatTest:
         assert code == 2
         assert out == ""
         assert "error: t_max must be positive and finite" in err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        segment = tmp_path / "segment.json"
+        segment.write_text("[[-1], [1]]")
+        ball = hull_out(tmp_path, capsys, str(segment))
+        code, out, err = run(capsys, "flat-test", "--n", "2", "--ball", ball,
+                             "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "error: the sampling seed must be non-negative" in err
 
     def test_ball_without_symmetry_rejected(self, tmp_path, capsys,
                                             square_file):

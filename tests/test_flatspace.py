@@ -78,6 +78,8 @@ class TestValidation:
         nan[1, 1] = np.nan
         with pytest.raises(InputError):
             validate_spd(nan)
+        with pytest.raises(PreconditionError):
+            validate_spd(np.diag(np.exp([15.0, 15.0, -30.0])))
 
     def test_flat_space_rejections(self, skew_hexagon, square_ball):
         with pytest.raises(InputError):
@@ -138,6 +140,11 @@ class TestCartanProjection:
             cartan_projection(np.eye(3), spread)
         with pytest.raises(DimensionMismatch):
             cartan_projection(np.eye(2), np.eye(3))
+        # every input check on both points comes before the guard
+        with pytest.raises(DimensionMismatch):
+            cartan_projection(spread, np.eye(2))
+        with pytest.raises(InputError):
+            cartan_projection(spread, np.diag([1.0, -1.0, -1.0]))
 
 
 class TestDistance:
@@ -307,8 +314,7 @@ class TestInvarianceSuite:
         assert rep.limit_monotone
 
     def test_wall_ray_config(self, fs3):
-        cfg = InvarianceConfig(ray_start=(0, 0, 0),
-                               ray_direction=(F(1, 150), F(1, 150), F(-2, 150)),
+        cfg = InvarianceConfig(ray_direction=(F(1, 150), F(1, 150), F(-2, 150)),
                                samples=25, seed=11)
         rep = invariance_suite(fs3, cfg)
         assert rep.ray_type.indices == (0,)
@@ -325,12 +331,12 @@ class TestInvarianceSuite:
         with pytest.raises(InputError):
             invariance_suite(fs3, InvarianceConfig(samples=0))
         with pytest.raises(InputError):
-            invariance_suite(fs3, InvarianceConfig(t_schedule=(100.0, 10.0)))
-        with pytest.raises(InputError):
             invariance_suite(fs3, InvarianceConfig(invariance_tol=0.0))
         steep = InvarianceConfig(ray_direction=(1, 0, -1))
         with pytest.raises(InputError):
             invariance_suite(fs3, steep)
+        with pytest.raises(InputError):
+            invariance_suite(fs3, InvarianceConfig(seed=-1))
 
 
 class TestSamplers:

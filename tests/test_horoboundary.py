@@ -29,7 +29,6 @@ from horopoly.horoboundary import (
     limit_of_ray,
     make_horofunction,
     psi,
-    stratum_to_dual_point,
 )
 from horopoly.norm import distance, gauge, polyhedral_norm
 from horopoly.polytope import convex_hull, face_lattice, face_of
@@ -226,40 +225,6 @@ def test_walsh_count_is_lattice_size():
         ball = rand_ball(rng, dim, 7)
         norm = polyhedral_norm(ball)
         assert len(enumerate_strata(norm)) == len(face_lattice(norm.dual_ball)) - 1
-
-
-def test_stratum_realisation_center_and_vertices(l1):
-    h = make_horofunction(l1, edge_face(l1, 0, 1), (0, 0))
-    assert stratum_to_dual_point(h) == (-1.0, 0.0)
-    for i, b in enumerate(l1.dual_ball.vertices):
-        hv = make_horofunction(l1, face_of(l1.dual_ball, [i]), (3, 1))
-        assert stratum_to_dual_point(hv) == tuple(float(x) for x in b)
-
-
-def test_stratum_realisation_reaches_endpoints(l1):
-    big = Fraction(10) ** 6
-    up = stratum_to_dual_point(make_horofunction(l1, edge_face(l1, 0, 1), (0, big)))
-    down = stratum_to_dual_point(make_horofunction(l1, edge_face(l1, 0, 1), (0, -big)))
-    assert abs(up[0] + 1) < 1e-9 and abs(up[1] - 1) < 1e-5
-    assert abs(down[0] + 1) < 1e-9 and abs(down[1] + 1) < 1e-5
-
-
-def test_stratum_realisation_stays_in_face_and_injective(l1, hexn):
-    rng = random.Random(41)
-    for norm in (l1, hexn):
-        for E, d in enumerate_strata(norm):
-            seen = set()
-            for _ in range(8):
-                h = make_horofunction(norm, E, rand_vector(rng, 2))
-                pt = stratum_to_dual_point(h)
-                seen.add((h.basepoint, pt))
-                # realised point satisfies every support equality of the face
-                for hs in E.support:
-                    val = sum(float(a) * b for a, b in zip(hs.functional, pt))
-                    assert abs(val - float(hs.offset)) < 1e-9
-            # distinct canonical basepoints land on distinct points
-            pts = [p for _, p in seen]
-            assert len(set(pts)) == len(set(b for b, _ in seen))
 
 
 # ---------------------------------------------------------------------------

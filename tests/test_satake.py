@@ -218,6 +218,71 @@ def test_classify_a3_regular_permutohedron():
     assert report.facet_count == 14
 
 
+def oracle_shape(rs, hull):
+    """The shape by the whole orbit of one vertex under all |W| matrices."""
+    fv = f_vector(hull)
+    if hull.affine_dim == 2 and fv == (6, 6, 1):
+        return "hexagon"
+    if hull.affine_dim == 3 and fv == (12, 24, 14, 1):
+        return "cuboctahedron"
+    mats = weyl_weight_matrices(rs)
+    orbit = {mat_vec(m, hull.vertices[0]) for m in mats}
+    if len(hull.vertices) == len(mats) and orbit == set(hull.vertices):
+        return "permutohedron"
+    return None
+
+
+def test_permutohedron_test_matches_orbit_oracle():
+    """The wall test agrees with the whole-orbit test on every named weight,
+    on the sum of the fundamental weights (the regular case), in rank 2 on
+    every pair of those, and on a B2 octagon with |W| vertices on walls.
+    B3 and C3 skip the regular weight: its 48-point hull costs seconds."""
+    shapes = set()
+    for label, rank in (("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3),
+                        ("C", 3), ("D", 3)):
+        rs = build(label, rank)
+        fundamentals = [named_weight(rs, f"fundamental:{k}")
+                        for k in range(1, rank + 1)]
+        weights = [named_weight(rs, "adjoint"), named_weight(rs, "standard"),
+                   named_weight(rs, "dual-standard")] + fundamentals
+        if label in "AD" or rank == 2:
+            weights.append(tuple(sum(c) for c in zip(*fundamentals)))
+        groups = [[w] for w in weights]
+        if rank == 2:
+            groups += [[v, w] for i, v in enumerate(weights) for w in weights[i + 1:]]
+        for group in groups:
+            spec = weight_spec(rs, group)
+            try:
+                hull = weight_hull(spec)
+            except PreconditionError:
+                continue
+            shape = classify(spec).shape
+            assert shape == oracle_shape(rs, hull), (label, rank, group)
+            shapes.add(shape)
+    octagon = weight_spec(B2, [(F(3, 2), 0), (1, 1)])
+    assert len(weight_hull(octagon).vertices) == 8
+    assert classify(octagon).shape is oracle_shape(B2, weight_hull(octagon)) is None
+    assert shapes == {"hexagon", "cuboctahedron", "permutohedron", None}
+
+
+def test_classify_reuses_the_weight_hull(monkeypatch):
+    import horopoly.satake as satake
+
+    builds = []
+
+    def counting_hull(points):
+        builds.append(len(points))
+        return convex_hull(points)
+
+    monkeypatch.setattr(satake, "convex_hull", counting_hull)
+    spec = spec_of(A3, "adjoint")
+    hull = weight_hull(spec)
+    assert classify(spec).vertices == hull.vertices
+    assert same_compactification(spec, spec)
+    assert weight_hull(spec) is hull
+    assert builds == [12]
+
+
 def test_classify_scale_invariant():
     for name in ("adjoint", "standard"):
         r1 = classify(spec_of(A2, name, scale=1))
