@@ -1,13 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals and the integers.
 
-Small dense routines backing the polytope and root-system machinery.
-Everything operates on tuples of Fraction; nothing here touches floats.
+Small dense routines backing the polytope and root-system machinery.  The
+vector and elimination routines operate on tuples of Fraction.  The
+polytope kernel works on integers instead: homogeneous writes a rational
+point as one integer vector, extend_minors and normal_map give the
+hyperplane through such vectors from their minors, and pivot_columns
+eliminates without fractions.  Nothing here touches floats.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import gcd, isfinite, lcm
 
 ZERO = Fraction(0)
@@ -164,14 +170,6 @@ def span_basis(vectors):
     return [tuple(r) for r in rows]
 
 
-def affine_span(points):
-    """(origin, basis of the direction space) for a nonempty point list."""
-    pts = list(points)
-    origin = vec(pts[0])
-    dirs = [vsub(vec(p), origin) for p in pts[1:]]
-    return origin, span_basis(dirs)
-
-
 def project_onto_span(vectors, v):
     """Orthogonal projection of v onto span(vectors), standard inner product."""
     basis = span_basis(vectors)
@@ -188,11 +186,88 @@ def project_onto_span(vectors, v):
 
 def primitive(vector):
     """Positive rescale of a nonzero rational vector to coprime integers."""
-    denom = lcm(*(x.denominator for x in vector)) if len(vector) > 1 else vector[0].denominator
-    ints = [int(x * denom) for x in vector]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
+    ints = homogeneous(vector)[:-1]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(Fraction(n, g) for n in ints)
+
+
+# ---------------------------------------------------------------------------
+# integer kernel
+
+
+def homogeneous(point) -> tuple:
+    """The integer vector (x*w, w) of a rational point x, where w > 0 is
+    the lcm of its own denominators."""
+    w = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (w // x.denominator) for x in point) + (w,)
+
+
+@lru_cache(maxsize=None)
+def _expansion(ncols: int, k: int) -> tuple:
+    """Per (k+1)-subset of the columns, in combinations order, the terms
+    (column, sign, position of a k-subset) of its minor expanded along the
+    last row."""
+    position = {s: i for i, s in enumerate(combinations(range(ncols), k))}
+    return tuple(
+        tuple((c, (-1) ** (k + p), position[t[:p] + t[p + 1:]])
+              for p, c in enumerate(t))
+        for t in combinations(range(ncols), k + 1))
+
+
+def extend_minors(minors, k: int, row) -> tuple:
+    """Maximal minors of k integer rows with row appended below them.
+
+    minors lists the k x k minors of the k rows over the k-subsets of the
+    columns in combinations order: (1,) for no rows, a row for one row.
+    """
+    return tuple(sum(s * row[c] * minors[i] for c, s, i in terms)
+                 for terms in _expansion(len(row), k))
+
+
+def normal_map(minors, ncols: int) -> list:
+    """The matrix N that takes a last row v to the normal n of m rows of
+    length ncols = m + 1: <n|x> = det(rows; x) for every x.
+
+    minors lists the maximal minors of the first m - 1 rows, as in
+    extend_minors.  The normal is zero exactly when the m rows are
+    dependent, and otherwise spans their orthogonal complement.
+    """
+    m = ncols - 1
+    N = [[0] * ncols for _ in range(ncols)]
+    # the m-subset at position i leaves out column m - i
+    for i, terms in enumerate(_expansion(ncols, m - 1)):
+        c = m - i
+        sign = 1 if (m + c) % 2 == 0 else -1
+        for col, s, idx in terms:
+            N[c][col] = sign * s * minors[idx]
+    return N
+
+
+def pivot_columns(rows) -> list:
+    """Pivot columns of integer rows, by fraction-free (Bareiss) elimination.
+
+    After each step every entry below the pivots is a minor of the input,
+    so the division by the previous pivot is exact and no entry outgrows
+    the minors.  The rank is the number of pivots.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    previous = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        top = m[r]
+        pivot = top[c]
+        for i in range(r + 1, len(m)):
+            a = m[i][c]
+            m[i] = [(pivot * x - a * y) // previous for x, y in zip(m[i], top)]
+        previous = pivot
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return pivots

@@ -24,15 +24,20 @@ from pathlib import Path
 
 from ._linalg import frac, nullspace, vdot
 from .errors import InputError, PreconditionError
-from .horoboundary import (enumerate_strata, horofunction_to_json,
-                           limit_of_ray)
+from .horoboundary import (Horofunction, enumerate_strata,
+                           horofunction_to_json, limit_of_ray)
 from .norm import polyhedral_norm
-from .polytope import (convex_hull, polar_dual, polytope_from_json,
+from .polytope import (Polytope, convex_hull, polar_dual, polytope_from_json,
                        polytope_to_json)
 from .render import render_off, render_svg
 from .rootsys import (build, named_weight, point_ambient, weight_ambient)
-from .satake import (classify, report_to_json, same_compactification,
-                     satake_ball, weight_hull, weight_spec)
+from .satake import (CompactificationReport, classify, report_to_json,
+                     same_compactification, satake_ball, weight_hull,
+                     weight_spec)
+
+# the JSON form of each result a verb prints, built by _emit_json
+_DOCUMENT = {Polytope: polytope_to_json, CompactificationReport: report_to_json,
+             Horofunction: horofunction_to_json}
 
 
 def _out_path(path: str) -> Path:
@@ -50,7 +55,20 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write doc, with the results in it formatted by _DOCUMENT.
+
+    Exact results can outgrow Python's int-to-str digit limit (3.10.7 on);
+    it is lifted here only, so reading input keeps it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True,
+                          default=lambda obj: _DOCUMENT[type(obj)](obj)) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if out:
         _write_text(out, text)
     else:
@@ -101,7 +119,7 @@ def _cmd_hull(args) -> int:
     if not isinstance(obj, list) or not obj:
         raise InputError("expected a JSON list of points (or a 'vertices' key)")
     P = convex_hull([_coerce_point(p) for p in obj])
-    _emit_json(polytope_to_json(P), args.out)
+    _emit_json(P, args.out)
     if args.out:
         _table([("dim", P.ambient_dim), ("vertices", len(P.vertices)),
                 ("facets", len(P.facets))])
@@ -120,7 +138,7 @@ def _coerce_point(p) -> tuple:
 def _cmd_dual(args) -> int:
     P = polytope_from_json(_load_json(args.polytope))
     D = polar_dual(P)
-    _emit_json(polytope_to_json(D), args.out)
+    _emit_json(D, args.out)
     if args.out:
         _table([("dim", D.ambient_dim), ("vertices", len(D.vertices)),
                 ("facets", len(D.facets))])
@@ -135,27 +153,25 @@ def _cmd_satake(args) -> int:
     any_file = bool(args.out or args.ball or args.report)
     if any_file:
         if args.out:
-            _emit_json(polytope_to_json(hull), args.out)
+            _emit_json(hull, args.out)
         if args.ball:
-            _emit_json(polytope_to_json(ball), args.ball)
+            _emit_json(ball, args.ball)
         if args.report:
-            _emit_json(report_to_json(report), args.report)
+            _emit_json(report, args.report)
         _table([("family", rs.type_label), ("rank", rs.rank),
                 ("weights", args.weights), ("scale", args.scale),
                 ("hull f-vector", list(report.hull_f_vector)),
                 ("ball f-vector", list(report.ball_f_vector)),
                 ("shape", report.shape), ("regular", report.regular)])
     else:
-        _emit_json({"hull": polytope_to_json(hull),
-                    "ball": polytope_to_json(ball),
-                    "report": report_to_json(report)}, None)
+        _emit_json({"hull": hull, "ball": ball, "report": report}, None)
     return 0
 
 
 def _cmd_classify(args) -> int:
     _, spec = _spec_from_flags(args.family, args.rank, args.weights, args.scale)
     report = classify(spec)
-    _emit_json(report_to_json(report), args.out)
+    _emit_json(report, args.out)
     if args.out:
         _table([("shape", report.shape), ("regular", report.regular),
                 ("hull f-vector", list(report.hull_f_vector)),
@@ -187,7 +203,7 @@ def _cmd_strata(args) -> int:
 def _cmd_limit_ray(args) -> int:
     norm = polyhedral_norm(polytope_from_json(_load_json(args.ball)))
     h = limit_of_ray(norm, _parse_vector(args.q), _parse_vector(args.u))
-    _emit_json(horofunction_to_json(h), args.out)
+    _emit_json(h, args.out)
     return 0
 
 

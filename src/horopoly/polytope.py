@@ -12,13 +12,18 @@ A polytope computes its facet-vertex incidence and its polar once, on
 first use, and keeps both on the instance; every face query (face_of,
 face_lattice, Face.support, dual_face) reads that one incidence.
 
-Designed for low dimensions (<= 4) and modest vertex counts.  Facets come
-from a scan over all m-point subsets in R^m: one elimination per subset
-gives the nullspace of its difference vectors, and a one-dimensional
-nullspace is a candidate normal, kept when every point lies on one side.
-The scan records which points each facet holds, and a point is a vertex
-exactly when the facets through it meet in that point alone.  Every step
-is exact.
+Designed for low dimensions (<= 4) and modest vertex counts.  Vertices
+and facets are Fraction tuples, but the kernel computes on integers: each
+point x becomes its own homogeneous integer vector (x*w, w), w the lcm of
+its denominators.  Facets come from a scan over all m-point subsets in
+R^m.  A subset's normal is the vector of signed maximal minors of its m
+homogeneous rows, zero exactly when the points are affinely dependent,
+and the minors are shared by every subset with the same first m - 1
+points.  The normal is kept when every point lies on one side, which is
+the sign of one integer dot product.  The scan records which points each
+facet holds, and a point is a vertex exactly when the facets through it
+meet in that point alone.  Incidence and face dimensions are integer
+tests and ranks on the same homogeneous vectors.  Every step is exact.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from operator import mul
 
 from ._linalg import (
     ONE,
-    affine_span,
+    extend_minors,
     frac,
+    homogeneous,
     is_zero_vec,
-    nullspace,
+    normal_map,
+    pivot_columns,
     primitive,
     vdot,
     vec,
@@ -77,9 +84,6 @@ class Halfspace:
     def contains(self, x) -> bool:
         return vdot(self.functional, x) >= self.offset
 
-    def active_at(self, x) -> bool:
-        return vdot(self.functional, x) == self.offset
-
 
 @dataclass(frozen=True)
 class Polytope:
@@ -116,10 +120,24 @@ class Polytope:
                 and all(h.offset == -1 for h in self.facets))
 
     @cached_property
+    def _homogeneous(self) -> tuple:
+        """The integer vector (x*w, w) of each vertex x, in vertex order."""
+        return tuple(homogeneous(v) for v in self.vertices)
+
+    @cached_property
     def incidence(self) -> tuple:
-        """Per facet, in facet order, the frozenset of vertex indices on it."""
-        return tuple(frozenset(i for i, v in enumerate(self.vertices) if h.active_at(v))
-                     for h in self.facets)
+        """Per facet, in facet order, the frozenset of vertex indices on it.
+
+        Facet <F/d|x> >= c holds the vertex with integer vector (X, w)
+        exactly when <F|X> = c*d*w.
+        """
+        out = []
+        for h in self.facets:
+            F = homogeneous(h.functional)
+            row = F[:-1] + (-int(h.offset) * F[-1],)
+            out.append(frozenset(i for i, v in enumerate(self._homogeneous)
+                                 if not sum(map(mul, row, v))))
+        return tuple(out)
 
     @cached_property
     def polar(self) -> "Polytope":
@@ -202,62 +220,75 @@ def _hull_2d(pts):
     return boundary, facets
 
 
-def _hull_full(pts, m):
-    """Facets and vertices of a full-dimensional hull via subset enumeration."""
+def _hull_full(pts, hom):
+    """Facets and vertices of a full-dimensional hull via subset enumeration.
+
+    hom holds the homogeneous integer vector of each point.
+    """
+    m = len(pts[0])
     if m == 2:
         return _hull_2d(pts)
 
-    facets = {}  # facet -> indices of the points on it
+    n = len(pts)
     # scan from both ends of the sorted list inwards: the extreme points
     # tend to lie on both sides of a candidate that is no facet, which ends
     # its scan early (on a line, after two points)
-    order = sorted(range(len(pts)), key=lambda i: min(i, len(pts) - 1 - i))
-    for comb in combinations(pts, m):
-        normals = nullspace([vsub(p, comb[0]) for p in comb[1:]], ambient_dim=m)
-        if len(normals) != 1:
-            continue
-        normal = normals[0]
-        value = vdot(normal, comb[0])
-        above = below = False
-        on = []
-        for i in order:
-            s = vdot(normal, pts[i]) - value
-            if s > 0:
-                above = True
-            elif s < 0:
-                below = True
-            else:
-                on.append(i)
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            hs = Halfspace.normalized(normal, value)
-        else:
-            hs = Halfspace.normalized(tuple(-x for x in normal), -value)
-        facets[hs] = frozenset(on)
+    order = sorted(range(n), key=lambda i: min(i, n - 1 - i))
+    facets = {}  # indices of the points on a facet -> its inward normal
 
-    everything = frozenset(range(len(pts)))
+    def scan(prefix, minors):
+        k = len(prefix)
+        start = prefix[-1] + 1 if prefix else 0
+        if k < m - 1:
+            for j in range(start, n - (m - 1 - k)):
+                rows = extend_minors(minors, k, hom[j])
+                if any(rows):  # dependent rows stay dependent below
+                    scan(prefix + (j,), rows)
+            return
+        N = normal_map(minors, m + 1)
+        for j in range(start, n):
+            normal = [sum(map(mul, r, hom[j])) for r in N]
+            if not any(normal):
+                continue
+            above = below = False
+            on = []
+            for i in order:
+                s = sum(map(mul, normal, hom[i]))
+                if s > 0:
+                    above = True
+                elif s < 0:
+                    below = True
+                else:
+                    on.append(i)
+                if above and below:
+                    break
+            if above and below:
+                continue
+            facets[frozenset(on)] = normal if above else [-x for x in normal]
+
+    scan((), (1,))  # the one minor of no rows
+    everything = frozenset(range(n))
     verts = [p for i, p in enumerate(pts)
-             if everything.intersection(*(s for s in facets.values() if i in s)) == {i}]
-    return verts, list(facets)
+             if everything.intersection(*(s for s in facets if i in s)) == {i}]
+    # <normal|(x*w, w)> >= 0 is <normal[:-1]|x> >= -normal[-1]
+    return verts, [Halfspace.normalized(v[:-1], -v[-1]) for v in facets.values()]
 
 
 def convex_hull(points) -> Polytope:
     """Convex hull of rational points, with facets when full-dimensional."""
     pts, m = _check_points(points)
-    origin, basis = affine_span(pts)
-    d = len(basis)
+    hom = [homogeneous(p) for p in pts]
+    # with w first, the pivot columns after it are the coordinates that the
+    # affine span projects onto one to one
+    pivots = pivot_columns([h[-1:] + h[:-1] for h in hom])
+    d = len(pivots) - 1
     if d == m:
-        verts, facets = _hull_full(pts, m)
+        verts, facets = _hull_full(pts, hom)
         return Polytope(tuple(sorted(verts)), tuple(sorted(facets)), m, m)
     if d == 0:
         return Polytope((pts[0],), (), m, 0)
-    # lower-dimensional: hull the coordinates in the echelon basis, which
-    # is the identity in its pivot columns (each row's first nonzero, a 1)
-    pivots = [b.index(1) for b in basis]
-    coord_map = {tuple(p[j] - origin[j] for j in pivots): p for p in pts}
+    # lower-dimensional: hull those coordinates
+    coord_map = {tuple(p[j - 1] for j in pivots[1:]): p for p in pts}
     sub = convex_hull(list(coord_map))
     verts = sorted(coord_map[c] for c in sub.vertices)
     return Polytope(tuple(verts), (), m, d)
@@ -280,8 +311,8 @@ def polar_dual(P: Polytope) -> Polytope:
 
 def _face_from_index_set(P: Polytope, idxs) -> Face:
     idxs = tuple(sorted(idxs))
-    pts = [P.vertices[i] for i in idxs]
-    return Face(P, idxs, len(affine_span(pts)[1]))
+    rows = [P._homogeneous[i] for i in idxs]
+    return Face(P, idxs, len(pivot_columns(rows)) - 1)
 
 
 def face_of(P: Polytope, vertex_indices) -> Face:

@@ -23,13 +23,14 @@ from horopoly.polytope import (
 )
 from horopoly._linalg import (
     ONE,
-    affine_span,
     is_zero_vec,
     nullspace,
     rref,
     solve_system,
+    span_basis,
     transpose,
     vdot,
+    vec,
     vsub,
 )
 
@@ -75,6 +76,18 @@ def mat_mul(A, B) -> tuple:
 
 def identity_matrix(n: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def on_facet(h: Halfspace, x) -> bool:
+    """Whether x lies on the boundary hyperplane of h."""
+    return vdot(h.functional, x) == h.offset
+
+
+def affine_span(points):
+    """(origin, basis of the direction space) for a nonempty point list."""
+    pts = list(points)
+    origin = vec(pts[0])
+    return origin, span_basis([vsub(vec(p), origin) for p in pts[1:]])
 
 
 def rank(vectors) -> int:
@@ -137,7 +150,7 @@ def _hull_full(pts, m):
     facet_list = list(facets)
     verts = []
     for p in pts:
-        active = [h.functional for h in facet_list if h.active_at(p)]
+        active = [h.functional for h in facet_list if on_facet(h, p)]
         if len(active) >= m and rank(active) == m:
             verts.append(p)
     return verts, facet_list

@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from geomtest import identity_matrix
+from geomtest import identity_matrix, on_facet
 from horopoly._linalg import mat_vec, vadd, vdot, vscale, vsub
 from horopoly.flatspace import (InvarianceConfig, exp_flat, finsler_distance,
                                 flat_gauge, flat_limit_consistency, flat_space,
@@ -87,7 +87,7 @@ def test_01_cross_ball_polar(l1_ball):
             assert all(vdot(w, a) == -1 for w in edge.vertices)
 
         for h in l1_ball.facets:
-            idxs = [i for i, v in enumerate(l1_ball.vertices) if h.active_at(v)]
+            idxs = [i for i, v in enumerate(l1_ball.vertices) if on_facet(h, v)]
             corner = dual_face(l1_ball, face_of(l1_ball, idxs))
             assert corner.dim == 0
             b = corner.vertices[0]

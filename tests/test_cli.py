@@ -404,6 +404,31 @@ def test_decimal_exponent_at_cap_is_accepted(tmp_path, capsys):
     assert ["1" + "0" * 500, "0"] in json.loads(out)["vertices"]
 
 
+def test_long_literals_print_in_full(tmp_path, capsys):
+    # 1,501-digit literals, whose facet functionals outgrow Python's
+    # 4300-digit limit on int-to-str conversion
+    pts = []
+    for k in range(8):
+        axis, s = k // 2, 1 - 2 * (k % 2)
+        pts.append([str(s * (3 * 10**1500 + k)) if j == axis
+                    else f"{-s}/{7 * 10**1500 + k}" for j in range(4)])
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(pts))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "hull", str(points))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert sorted(doc["vertices"]) == sorted(pts)
+    assert max(len(x) for f in doc["facets"] for x in f) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    # reading a document keeps the limit
+    ball = tmp_path / "ball.json"
+    ball.write_text(out)
+    code, out, err = run(capsys, "dual", str(ball))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad facet data")
+
+
 @pytest.mark.parametrize("argv", [
     ["hull", "bad.json"],
     ["dual", "bad.json"],

@@ -1,0 +1,213 @@
+"""The integer kernel under the polytope layer, against Fraction oracles.
+
+The helpers in horopoly._linalg are checked against rref and nullspace;
+convex_hull, incidence and face dimensions against the subset-scan
+oracle of geomtest and Fraction affine spans.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+from math import lcm, prod
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomtest import affine_span, on_facet, oracle_hull, rank
+from horopoly._linalg import (extend_minors, homogeneous, normal_map,
+                              nullspace, pivot_columns, rref, vadd, vscale)
+from horopoly.polytope import convex_hull, face_lattice
+from horopoly.rootsys import (build, named_weight, weight_coords, weyl_group,
+                              weyl_orbit)
+
+F = Fraction
+
+
+def det(rows) -> int:
+    """Leibniz determinant of a small square matrix."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def normal_of(rows) -> tuple:
+    """The minor normal of m rows of length m + 1."""
+    minors = (1,)
+    for k, row in enumerate(rows[:-1]):
+        minors = extend_minors(minors, k, row)
+    return tuple(sum(a * x for a, x in zip(r, rows[-1]))
+                 for r in normal_map(minors, len(rows[-1])))
+
+
+# ---------------------------------------------------------------------------
+# integer helpers
+
+entries = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows, often rank-deficient: some rows are integer
+    combinations of earlier ones, and zero rows and columns occur."""
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(draw(entries) for _ in range(ncols)))
+    if rows and draw(st.booleans()):
+        zero = draw(st.integers(0, ncols - 1))
+        rows = [r[:zero] + (0,) + r[zero + 1:] for r in rows]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_pivot_columns_match_rref(rows):
+    pivots = pivot_columns(rows)
+    assert pivots == (rref(rows)[1] if rows else [])
+    assert len(pivots) == rank(rows)
+
+
+def test_pivot_columns_on_singular_matrices():
+    assert pivot_columns([]) == []
+    assert pivot_columns([(0, 0, 0)]) == []
+    assert pivot_columns([(0, 2, 4), (0, 1, 2), (0, 0, 0)]) == [1]
+    assert pivot_columns([(1, 2, 3), (4, 5, 6), (7, 8, 9)]) == [0, 1]
+    assert pivot_columns([(0, 0, 5), (3, 0, 1), (6, 0, 2)]) == [0, 2]
+    assert pivot_columns([(2, 1), (1, 3)]) == [0, 1]
+
+
+@st.composite
+def normal_rows(draw):
+    """m integer rows of length m + 1, m from 1 to 4."""
+    m = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.integers(0, 3)) == 0:
+            a = draw(st.sampled_from(rows))
+            rows.append(tuple(draw(st.integers(-3, 3)) * x for x in a))
+        else:
+            rows.append(tuple(draw(entries) for _ in range(m + 1)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_rows(), st.data())
+def test_normal_map_spans_the_nullspace(rows, data):
+    normal = normal_of(rows)
+    kernel = nullspace(rows)
+    assert any(normal) == (len(kernel) == 1)
+    if any(normal):
+        assert rank([normal, kernel[0]]) == 1
+    v = tuple(data.draw(entries) for _ in range(len(rows) + 1))
+    assert sum(n * x for n, x in zip(normal, v)) == det(rows + [v])
+
+
+def test_normal_of_dependent_rows_is_zero():
+    assert normal_of([(1, 2, 3), (2, 4, 6)]) == (0, 0, 0)
+    assert normal_of([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]) == (0, 0, 0, 0)
+    assert normal_of([(1, 0)]) == (0, 1)
+    assert normal_of([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]) == (0, 0, 0, 1)
+
+
+def test_homogeneous_uses_each_points_own_denominators():
+    assert homogeneous((F(1, 2), F(-2, 3), F(5))) == (3, -4, 30, 6)
+    assert homogeneous((F(0), F(7))) == (0, 7, 1)
+    big = 10**30 + 1
+    x = (F(1, big), F(3, 2 * big), F(-1, 7))
+    X = homogeneous(x)
+    assert X[-1] == lcm(big, 2 * big, 7)
+    assert tuple(F(a, X[-1]) for a in X[:-1]) == x
+
+
+# ---------------------------------------------------------------------------
+# convex_hull against the Fraction oracle
+
+
+def rationals(max_den):
+    return st.builds(F, st.integers(-max_den, max_den),
+                     st.one_of(st.integers(1, 9), st.integers(1, max_den)))
+
+
+@st.composite
+def coprime_point_sets(draw):
+    """Points with mixed denominators up to 10**30, some repeated."""
+    dim = draw(st.integers(1, 4))
+    coord = rationals(10**30)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1,
+                        max_size=9 if dim < 4 else 8))
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@st.composite
+def grid_point_sets(draw):
+    """Points of a coarse grid with denominators 1 to 3: coplanar points,
+    points inside facets and duplicates are common."""
+    dim = draw(st.integers(2, 4))
+    coord = st.sampled_from(sorted({F(k, d) for k in range(-3, 4) for d in (1, 2, 3)}))
+    return draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=10))
+
+
+ORBIT_SYSTEMS = [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 3)]
+
+
+@st.composite
+def orbit_point_sets(draw):
+    """A Weyl orbit (cospherical points, at most 24 of them in rank 3 with
+    at most two fundamental weights), scaled and moved by rationals with
+    large denominators."""
+    fam, r = draw(st.sampled_from(ORBIT_SYSTEMS))
+    rs = build(fam, r)
+    ks = draw(st.sets(st.integers(1, r), min_size=1, max_size=2))
+    chi = None
+    for k in ks:
+        w = vscale(named_weight(rs, f"fundamental:{k}"), draw(st.integers(1, 3)))
+        chi = w if chi is None else vadd(chi, w)
+    scale = draw(rationals(10**30).filter(lambda x: x != 0))
+    shift = draw(st.tuples(*[rationals(10**30)] * r))
+    return [vadd(vscale(weight_coords(rs, p), scale), shift)
+            for p in weyl_orbit(weyl_group(rs), chi)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(coprime_point_sets(), grid_point_sets(), orbit_point_sets()))
+def test_hull_incidence_and_face_dims_match_fraction_oracle(points):
+    P = convex_hull(points)
+    if not P.is_full_dimensional:
+        assert P.affine_dim == len(affine_span(points)[1])
+        return
+    assert P == oracle_hull(points)
+    assert P.incidence == tuple(
+        frozenset(i for i, v in enumerate(P.vertices) if on_facet(h, v))
+        for h in P.facets)
+    for face in face_lattice(P):
+        assert face.dim == len(affine_span(face.vertices)[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lower_dimensional_hull_matches_oracle_under_affine_map(data):
+    """Points with large denominators put into a higher dimension by an
+    injective rational affine map: the hull's vertices are the images of
+    the oracle's."""
+    flat_dim = data.draw(st.integers(1, 3))
+    dim = data.draw(st.integers(flat_dim + 1, 4))
+    coord = rationals(10**30)
+    pts = data.draw(st.lists(st.tuples(*[coord] * flat_dim), min_size=flat_dim + 1,
+                             max_size=8, unique=True))
+    A = data.draw(st.lists(st.tuples(*[rationals(9)] * flat_dim), min_size=dim,
+                           max_size=dim).filter(lambda A: rank(A) == flat_dim))
+    b = data.draw(st.tuples(*[coord] * dim))
+    image = {p: tuple(sum((a * x for a, x in zip(row, p)), bi) for row, bi in zip(A, b))
+             for p in pts}
+    P = convex_hull(image.values())
+    flat = convex_hull(pts)
+    assert P.affine_dim == flat.affine_dim and P.facets == ()
+    if flat.is_full_dimensional:
+        assert P.vertices == tuple(sorted(image[v] for v in oracle_hull(pts).vertices))

@@ -17,7 +17,7 @@ from horopoly.norm import distance, gauge, polyhedral_norm, pseudo_norm
 from horopoly.polytope import convex_hull, face_of, polar_dual
 from horopoly._linalg import vadd, vdot, vec
 
-from geomtest import rand_ball, rand_vector
+from geomtest import on_facet, rand_ball, rand_vector
 
 F = Fraction
 
@@ -73,7 +73,7 @@ def test_gauge_unit_sphere_is_boundary(l1):
             continue
         w = tuple(x / g for x in v)
         assert gauge(l1, w) == 1
-        assert any(h.active_at(w) for h in l1.ball.facets)
+        assert any(on_facet(h, w) for h in l1.ball.facets)
 
 
 def test_pseudo_norm_of_polar_is_the_1_norm(l1):

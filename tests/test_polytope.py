@@ -39,8 +39,8 @@ from horopoly.polytope import (
 )
 from horopoly._linalg import mat_vec, vadd, vdot, vec, vsub
 
-from geomtest import (oracle_hull, oracle_vertex_enumeration, rand_ball,
-                      rand_vector, rank)
+from geomtest import (on_facet, oracle_hull, oracle_vertex_enumeration,
+                      rand_ball, rand_vector, rank)
 
 F = Fraction
 
@@ -82,7 +82,7 @@ def oracle_vertices_2d(halfspaces):
 def oracle_faces(P):
     """All nonempty equality sets of facet subsets, plus the polytope itself."""
     n = len(P.vertices)
-    active = [frozenset(i for i, v in enumerate(P.vertices) if h.active_at(v))
+    active = [frozenset(i for i, v in enumerate(P.vertices) if on_facet(h, v))
               for h in P.facets]
     found = {frozenset(range(n))}
     for r in range(1, len(active) + 1):
@@ -145,7 +145,7 @@ def test_hull_many_points_in_disk():
     P = convex_hull(pts)
     assert all(all(h.contains(p) for h in P.facets) for p in pts)
     for v in P.vertices:
-        assert rank([h.functional for h in P.facets if h.active_at(v)]) == 2
+        assert rank([h.functional for h in P.facets if on_facet(h, v)]) == 2
 
 
 def test_hull_extreme_points_match_pairwise_oracle():
@@ -154,7 +154,7 @@ def test_hull_extreme_points_match_pairwise_oracle():
     P = convex_hull(pts)
     facets = oracle_facets_2d(pts)
     oracle_vertices = {p for p in pts
-                       if rank([h.functional for h in facets if h.active_at(p)]) == 2}
+                       if rank([h.functional for h in facets if on_facet(h, p)]) == 2}
     assert set(P.vertices) == oracle_vertices
 
 
@@ -293,7 +293,7 @@ def test_face_lattice_matches_subset_oracle(l1_ball, square_ball, skew_hexagon):
 def test_face_support_is_exact(l1_ball):
     for f in face_lattice(l1_ball):
         for h in f.support:
-            assert all(h.active_at(v) for v in f.vertices)
+            assert all(on_facet(h, v) for v in f.vertices)
         if f.is_proper:
             assert f.support
         else:
@@ -455,7 +455,7 @@ def test_face_counts_are_polar_reversed(P):
 
 
 def _incidence_scan(P):
-    return tuple(frozenset(i for i, v in enumerate(P.vertices) if h.active_at(v))
+    return tuple(frozenset(i for i, v in enumerate(P.vertices) if on_facet(h, v))
                  for h in P.facets)
 
 
@@ -470,7 +470,7 @@ def _check_faces_against_scans(P):
     for F in face_lattice(P):
         assert face_of(P, F.vertex_indices) == F
         assert F.support == tuple(h for h in P.facets
-                                  if all(h.active_at(v) for v in F.vertices))
+                                  if all(on_facet(h, v) for v in F.vertices))
         if F.is_proper:
             assert dual_face(P, F).vertex_indices == _dual_face_scan(P, F)
 
