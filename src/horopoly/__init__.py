@@ -45,7 +45,6 @@ from .polytope import (
     polar_dual,
     polytope_from_json,
     polytope_to_json,
-    relative_interior_point,
 )
 from .render import render_off, render_svg
 from .rootsys import (
@@ -113,7 +112,6 @@ __all__ = [
     "polytope_to_json",
     "pseudo_norm",
     "psi",
-    "relative_interior_point",
     "render_off",
     "render_svg",
     "report_to_json",

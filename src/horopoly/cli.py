@@ -57,18 +57,16 @@ def _write_text(path: str, text: str) -> None:
 def _emit_json(doc, out: str | None) -> None:
     """Write doc, with the results in it formatted by _DOCUMENT.
 
-    Exact results can outgrow Python's int-to-str digit limit (3.10.7 on);
-    it is lifted here only, so reading input keeps it.
+    An exact result with an integer past Python's int-to-str digit limit
+    (3.10.7 on) is refused: the document readers could not read it back.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         text = json.dumps(doc, indent=2, sort_keys=True,
                           default=lambda obj: _DOCUMENT[type(obj)](obj)) + "\n"
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    except ValueError:  # str of an int past the limit
+        raise PreconditionError(
+            f"the exact result has an integer of over {sys.get_int_max_str_digits()} "
+            "digits, more than a document can be read back with") from None
     if out:
         _write_text(out, text)
     else:

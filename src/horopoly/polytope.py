@@ -46,7 +46,6 @@ from ._linalg import (
     vec,
     vscale,
     vsub,
-    vzero,
 )
 from .errors import (
     DimensionMismatch,
@@ -386,18 +385,6 @@ def dual_face(P: Polytope, F: Face) -> Face:
     if not idxs:
         raise NotAFace("empty dual face; input was not a face")
     return face_of(Q, idxs)
-
-
-def relative_interior_point(obj) -> tuple:
-    """Vertex barycenter, a canonical relative interior point."""
-    verts = obj.vertices
-    if not verts:
-        raise EmptyInput("no vertices")
-    n = Fraction(len(verts))
-    out = vzero(len(verts[0]))
-    for v in verts:
-        out = tuple(a + b / n for a, b in zip(out, v))
-    return out
 
 
 def negate(P: Polytope) -> Polytope:

@@ -5,7 +5,11 @@ A of rank r lives in the trace-zero hyperplane of R^(r+1), the other
 families fill R^r.  The reflection group of each system is enumerated
 explicitly in its closed form, as the permutation (A) or signed
 permutation (B, C, D) matrices of the ambient coordinates, so orbits,
-chamber membership and stabilisers are all decided exactly.
+chamber membership and stabilisers are all decided exactly.  Orbits are
+computed without those matrices: each element, and each simple
+reflection, is also kept as the pair (p, s) of a permutation and a sign
+vector, and it maps v to (s_i * v[p_i])_i, which takes negations and no
+products.
 
 Family A keeps its ambient coordinates, and two rank-sized charts
 translate to full-dimensional coordinates where polytopes live: a point
@@ -20,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, permutations, product
 
 from ._linalg import (
     ONE,
     ZERO,
+    homogeneous,
     mat_vec,
     solve_system,
     transpose,
@@ -55,7 +60,9 @@ class WeylGroup:
 
     elements: every group element as an exact orthogonal matrix, in a
     canonical sorted order.  generators: the simple reflections, aligned
-    with the simple roots.
+    with the simple roots.  signed_elements and signed_generators are the
+    same elements as signed permutations (p, s), for signed_permute; they
+    are kept on the instance, so they live exactly as long as the group.
     """
 
     root_system: RootSystem
@@ -65,6 +72,27 @@ class WeylGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def signed_elements(self) -> tuple:
+        return tuple(_signed_permutation(m) for m in self.elements)
+
+    @cached_property
+    def signed_generators(self) -> tuple:
+        return tuple(_signed_permutation(g) for g in self.generators)
+
+
+def _signed_permutation(matrix) -> tuple:
+    """The pair (p, s) of a signed permutation matrix: row i holds s_i in
+    column p_i."""
+    p = tuple(next(j for j, x in enumerate(row) if x) for row in matrix)
+    return p, tuple(int(row[j]) for row, j in zip(matrix, p))
+
+
+def signed_permute(sp, v) -> tuple:
+    """The image (s_i * v[p_i])_i of v under the signed permutation (p, s)."""
+    p, s = sp
+    return tuple(v[j] if t > 0 else -v[j] for j, t in zip(p, s))
 
 
 def _unit(n: int, i: int) -> tuple:
@@ -81,7 +109,13 @@ def build(type_label, rank) -> RootSystem:
     if rank < _MIN_RANK[label]:
         raise InputError(f"family {label} needs rank >= {_MIN_RANK[label]}")
     _check_group_cap(label, rank)
-    r = rank
+    return _build(label, rank)
+
+
+@lru_cache(maxsize=None)
+def _build(label: str, r: int) -> RootSystem:
+    """The realisation, built and its positive roots checked once per
+    family and rank."""
     if label == "A":
         n = r + 1
         simple = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(r)]
@@ -172,11 +206,19 @@ def weyl_group(rs: RootSystem) -> WeylGroup:
 
 
 def weyl_orbit(group: WeylGroup, v) -> tuple:
-    """Deduplicated orbit of v, lexicographically sorted."""
+    """Deduplicated orbit of v, lexicographically sorted.
+
+    The group acts by signed permutations on v scaled to integers.  Every
+    orbit point has only the entries +-v_i, so scaling by one positive
+    integer keeps the order and maps back entry by entry.
+    """
     v = vec(v)
     if len(v) != group.root_system.ambient_dim:
         raise DimensionMismatch("vector does not live in the ambient space")
-    return tuple(sorted({mat_vec(m, v) for m in group.elements}))
+    u = homogeneous(v)[:-1]
+    back = {a: x for a, x in zip(u, v)} | {-a: -x for a, x in zip(u, v)}
+    orbit = sorted({signed_permute(sp, u) for sp in group.signed_elements})
+    return tuple(tuple(back[a] for a in w) for w in orbit)
 
 
 def singular_support(rs: RootSystem, v) -> tuple:

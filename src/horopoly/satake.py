@@ -18,6 +18,13 @@ setwise stabilizer: that is the stabilizer of the face's barycenter,
 which Steinberg's theorem generates from the reflections in the roots
 vanishing there.  A bijection commuting with the simple reflections
 commutes with the whole group, so the search acts through those alone.
+
+Both run on integers.  The hull's vertices go to ambient coordinates
+once, scaled by one common positive integer, and the simple reflections
+act on them as signed permutations.  Each vertex is paired once with
+every positive root, and a face's signature is the signs of the summed
+pairings over its vertices: the sum is a positive multiple of the
+barycenter, so the signs are the barycenter's.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional
 
-from ._linalg import frac, mat_vec, vdot, vec, vscale
+from ._linalg import frac, homogeneous, mat_vec, vdot, vec, vscale
 from .errors import InputError, PreconditionError
 from .polytope import (
     Polytope,
@@ -36,10 +44,10 @@ from .polytope import (
     face_lattice,
     negate,
     polar_dual,
-    relative_interior_point,
 )
 from .rootsys import (
     RootSystem,
+    signed_permute,
     singular_support,
     weight_ambient,
     weight_coords,
@@ -112,14 +120,30 @@ def invariant_under(P: Polytope, matrices) -> bool:
     return all({mat_vec(m, v) for v in P.vertices} == vset for m in matrices)
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+def _ambient_integers(rs: RootSystem, chart_points) -> list:
+    """The points in ambient coordinates as integer vectors, all scaled by
+    one positive integer.  Family A points are taken trace-zero (the group
+    permutes that representative), which scales them by the ambient
+    dimension once more."""
+    n = rs.ambient_dim
+    flat = homogeneous([x for p in chart_points for x in weight_ambient(rs, p)])
+    ints = [flat[i:i + n] for i in range(0, len(flat) - 1, n)]
+    if rs.type_label == "A":
+        ints = [tuple(n * x - sum(p) for x in p) for p in ints]
+    return ints
 
 
-def _wall_signature(rs: RootSystem, chart_point) -> tuple:
-    """Sign pattern of the point against every positive root's wall."""
-    ambient = weight_ambient(rs, chart_point)
-    return tuple(_sign(vdot(ambient, a)) for a in rs.positive_roots)
+def _root_pairings(rs: RootSystem, ints) -> list:
+    """Each integer ambient point's pairing with every positive root."""
+    roots = [tuple(int(x) for x in a) for a in rs.positive_roots]
+    return [tuple(sum(map(mul, p, a)) for a in roots) for p in ints]
+
+
+def _wall_signature(pairings, indices) -> tuple:
+    """Sign pattern, against every positive root's wall, of the sum of the
+    indexed points: the pattern of their barycenter."""
+    sums = map(sum, zip(*(pairings[i] for i in indices)))
+    return tuple((x > 0) - (x < 0) for x in sums)
 
 
 def classify(spec: WeightSpec) -> CompactificationReport:
@@ -146,9 +170,10 @@ def _recognize_shape(rs: RootSystem, hull: Polytope, fv: tuple) -> Optional[str]
         return "cuboctahedron"
     # The vertex set is group invariant, so a vertex on no wall has a free
     # orbit, and when there are |W| vertices that orbit is all of them.
-    if (len(hull.vertices) == weyl_group(rs).order
-            and 0 not in _wall_signature(rs, hull.vertices[0])):
-        return "permutohedron"
+    if len(hull.vertices) == weyl_group(rs).order:
+        (first,) = _root_pairings(rs, _ambient_integers(rs, hull.vertices[:1]))
+        if 0 not in first:
+            return "permutohedron"
     return None
 
 
@@ -188,17 +213,18 @@ class _LatticeProfile:
         faces = face_lattice(hull)
         self.sets = [frozenset(f.vertex_indices) for f in faces]
         index_of = {s: i for i, s in enumerate(self.sets)}
-        vpos = {v: i for i, v in enumerate(hull.vertices)}
+        ints = _ambient_integers(rs, hull.vertices)
+        vpos = {u: i for i, u in enumerate(ints)}
         self.action = []  # one face permutation per simple reflection
-        for g in weyl_group(rs).generators:
+        for g in weyl_group(rs).signed_generators:
             try:
-                perm = tuple(vpos[weight_coords(rs, mat_vec(g, weight_ambient(rs, v)))]
-                             for v in hull.vertices)
+                perm = tuple(vpos[signed_permute(g, u)] for u in ints)
             except KeyError:
                 raise AssertionError("weight hull is not group invariant")
             self.action.append(tuple(index_of[frozenset(perm[i] for i in s)]
                                      for s in self.sets))
-        self.keys = [(face.dim, _wall_signature(rs, relative_interior_point(face)))
+        pairings = _root_pairings(rs, ints)
+        self.keys = [(face.dim, _wall_signature(pairings, face.vertex_indices))
                      for face in faces]
         self.incl = [[a <= b for b in self.sets] for a in self.sets]
 

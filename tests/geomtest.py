@@ -6,6 +6,8 @@ for convex_hull to be checked against: it takes an affine span and then a
 nullspace per candidate, and finds vertices by a rank test on the facet
 normals through each point.  oracle_vertex_enumeration goes the other
 way, from halfspaces to vertices, for polar duals to be checked against.
+matrix_orbit and wall_signature are the Fraction matrix and barycenter
+forms of the Weyl orbit and of the wall signature of a face.
 """
 
 from __future__ import annotations
@@ -14,16 +16,18 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from horopoly.errors import EmptyInput
 from horopoly.polytope import (
     Halfspace,
     Polytope,
     _hull_2d,
     convex_hull,
-    relative_interior_point,
 )
+from horopoly.rootsys import weight_ambient
 from horopoly._linalg import (
     ONE,
     is_zero_vec,
+    mat_vec,
     nullspace,
     rref,
     solve_system,
@@ -32,6 +36,7 @@ from horopoly._linalg import (
     vdot,
     vec,
     vsub,
+    vzero,
 )
 
 
@@ -48,6 +53,32 @@ def rand_nonzero_vector(rng: random.Random, dim: int, num: int = 12, den: int = 
         v = rand_vector(rng, dim, num, den)
         if any(x != 0 for x in v):
             return v
+
+
+def relative_interior_point(obj) -> tuple:
+    """Vertex barycenter, a canonical relative interior point."""
+    verts = obj.vertices
+    if not verts:
+        raise EmptyInput("no vertices")
+    n = Fraction(len(verts))
+    out = vzero(len(verts[0]))
+    for v in verts:
+        out = tuple(a + b / n for a, b in zip(out, v))
+    return out
+
+
+def wall_signature(rs, chart_point) -> tuple:
+    """Sign pattern of a weight-chart point against every positive root's
+    wall, by Fraction dot products."""
+    ambient = weight_ambient(rs, chart_point)
+    return tuple((t > 0) - (t < 0)
+                 for t in (vdot(ambient, a) for a in rs.positive_roots))
+
+
+def matrix_orbit(group, v) -> tuple:
+    """The orbit of v under every element matrix, deduplicated and sorted."""
+    v = vec(v)
+    return tuple(sorted({mat_vec(m, v) for m in group.elements}))
 
 
 def rand_ball(rng: random.Random, dim: int, count: int) -> Polytope:

@@ -404,29 +404,47 @@ def test_decimal_exponent_at_cap_is_accepted(tmp_path, capsys):
     assert ["1" + "0" * 500, "0"] in json.loads(out)["vertices"]
 
 
-def test_long_literals_print_in_full(tmp_path, capsys):
-    # 1,501-digit literals, whose facet functionals outgrow Python's
-    # 4300-digit limit on int-to-str conversion
+def long_literal_points(digits):
+    """8 points in dim 4 with literals of about the given length; their
+    facet functionals have about seven times as many digits."""
     pts = []
     for k in range(8):
         axis, s = k // 2, 1 - 2 * (k % 2)
-        pts.append([str(s * (3 * 10**1500 + k)) if j == axis
-                    else f"{-s}/{7 * 10**1500 + k}" for j in range(4)])
+        pts.append([str(s * (3 * 10**digits + k)) if j == axis
+                    else f"{-s}/{7 * 10**digits + k}" for j in range(4)])
+    return pts
+
+
+def test_long_literals_print_in_full(tmp_path, capsys):
+    # long literals print in full, and dual reads the document back
+    pts = long_literal_points(300)
     points = tmp_path / "points.json"
     points.write_text(json.dumps(pts))
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     code, out, err = run(capsys, "hull", str(points))
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert sorted(doc["vertices"]) == sorted(pts)
-    assert max(len(x) for f in doc["facets"] for x in f) > 4300
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-    # reading a document keeps the limit
+    assert max(len(x) for f in doc["facets"] for x in f) > 2000
     ball = tmp_path / "ball.json"
     ball.write_text(out)
     code, out, err = run(capsys, "dual", str(ball))
-    assert code == 2 and out == ""
-    assert err.startswith("error: bad facet data")
+    assert code == 0 and err == ""
+    assert json.loads(out)["facets"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_long_literals_past_the_digit_limit_are_refused(tmp_path, capsys):
+    # 1,501-digit literals, whose facet functionals outgrow Python's
+    # 4300-digit limit on int-to-str conversion, so that dual could not
+    # read the document back
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(long_literal_points(1500)))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "hull", str(points))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: the exact result has an integer of over {limit} digits")
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("argv", [

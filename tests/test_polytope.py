@@ -35,12 +35,11 @@ from horopoly.polytope import (
     polar_dual,
     polytope_from_json,
     polytope_to_json,
-    relative_interior_point,
 )
 from horopoly._linalg import mat_vec, vadd, vdot, vec, vsub
 
 from geomtest import (on_facet, oracle_hull, oracle_vertex_enumeration,
-                      rand_ball, rand_vector, rank)
+                      rand_ball, rand_vector, rank, relative_interior_point)
 
 F = Fraction
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import identity_matrix, mat_mul, rand_vector, rank
+from geomtest import identity_matrix, mat_mul, matrix_orbit, rand_vector, rank
 from horopoly._linalg import mat_vec, nullspace, transpose, vdot
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.rootsys import (
@@ -23,6 +23,7 @@ from horopoly.rootsys import (
     point_ambient,
     point_coords,
     reflection_matrix,
+    signed_permute,
     singular_support,
     weight_ambient,
     weight_coords,
@@ -194,6 +195,20 @@ def test_group_closure_exhaustive_a2():
             assert mat_mul(a, b) in elems
 
 
+def test_signed_permutations_act_as_the_matrices():
+    rng = random.Random(71)
+    for rs in CLASSICAL:
+        W = weyl_group(rs)
+        assert len(W.signed_elements) == W.order
+        assert len(W.signed_generators) == rs.rank
+        pairs = (list(zip(W.signed_elements, W.elements))
+                 + list(zip(W.signed_generators, W.generators)))
+        for _ in range(3):
+            v = rand_vector(rng, rs.ambient_dim, num=10**6, den=10**4)
+            for sp, m in pairs:
+                assert signed_permute(sp, v) == mat_vec(m, v)
+
+
 def test_generators_are_simple_reflections():
     rs = build("B", 2)
     W = weyl_group(rs)
@@ -239,6 +254,22 @@ def test_orbit_stabilizer_random():
             orbit = weyl_orbit(W, v)
             stab = sum(1 for m in W.elements if mat_vec(m, v) == v)
             assert len(orbit) * stab == W.order
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_orbit_matches_matrix_oracle(seed):
+    # coordinates drawn from a few values, so that orbits have repeated
+    # entries, zeros and entries of both signs with mixed denominators
+    rng = random.Random(seed)
+    values = [F(0)] + [F(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+                       for _ in range(3)]
+    for rs in CLASSICAL:
+        W = weyl_group(rs)
+        v = tuple(rng.choice(values) for _ in range(rs.ambient_dim))
+        orbit = weyl_orbit(W, v)
+        assert orbit == matrix_orbit(W, v)
+        assert all(type(x) is F for w in orbit for x in w)
 
 
 def test_orbit_dimension_mismatch():

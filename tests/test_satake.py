@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import oracle_vertex_enumeration
-from horopoly._linalg import mat_vec, vdot
+from geomtest import oracle_vertex_enumeration, relative_interior_point, wall_signature
+from horopoly._linalg import mat_vec
 from horopoly.errors import InputError, PreconditionError
 from horopoly.horoboundary import enumerate_strata
 from horopoly.norm import polyhedral_norm
@@ -25,7 +25,6 @@ from horopoly.polytope import (
     face_lattice,
     negate,
     polar_dual,
-    relative_interior_point,
 )
 from horopoly.rootsys import (
     build,
@@ -35,7 +34,6 @@ from horopoly.rootsys import (
 )
 from horopoly.satake import (
     _LatticeProfile,
-    _wall_signature,
     classify,
     combinatorial_summary,
     invariant_under,
@@ -385,13 +383,45 @@ def test_equal_wall_signatures_give_equal_stabilizers():
             vpos = {v: i for i, v in enumerate(hull.vertices)}
             perms = [[vpos[mat_vec(m, v)] for v in hull.vertices] for m in mats]
             stabilizer_of = {}
-            for face in face_lattice(hull):
-                s = set(face.vertex_indices)
+            profile = _LatticeProfile(rs, hull)
+            for s, key in zip(profile.sets, profile.keys):
                 stab = frozenset(k for k, perm in enumerate(perms)
                                  if {perm[i] for i in s} == s)
-                key = (face.dim, _wall_signature(rs, relative_interior_point(face)))
                 assert stabilizer_of.setdefault(key, stab) == stab, (label, rank, name)
     assert specs >= 30
+
+
+def oracle_keys(rs, hull):
+    return [(face.dim, wall_signature(rs, relative_interior_point(face)))
+            for face in face_lattice(hull)]
+
+
+def test_lattice_profile_keys_match_barycenter_signatures():
+    """Signs of summed integer root pairings equal the Fraction wall
+    signature of each face's barycenter."""
+    specs = []
+    for label, rank in (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2),
+                        ("C", 3), ("D", 3)):
+        rs = build(label, rank)
+        names = ["adjoint", "standard", "dual-standard"]
+        names += [f"fundamental:{k}" for k in range(1, rank + 1)]
+        specs += [spec_of(rs, name) for name in names]
+    specs += [spec_of(build(label, 4), "standard") for label in "ABCD"]
+    B3 = build("B", 3)
+    specs.append(spec_of(B3, "fundamental:3", F(3, 7)))
+    specs.append(spec_of(A3, (F(5, 3), F(1, 2), F(-1, 4), F(-23, 12)), F(3, 7)))
+    specs.append(weight_spec(B3, [named_weight(B3, "standard"),
+                                  named_weight(B3, "fundamental:3")], F(2, 5)))
+    checked = 0
+    for spec in specs:
+        try:
+            hull = weight_hull(spec)
+        except PreconditionError:
+            continue
+        checked += 1
+        rs = spec.root_system
+        assert _LatticeProfile(rs, hull).keys == oracle_keys(rs, hull)
+    assert checked >= 40
 
 
 def test_lattice_profile_generators_give_the_whole_action():
