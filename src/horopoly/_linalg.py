@@ -137,30 +137,6 @@ def solve_system(A, b):
     return tuple(x)
 
 
-def nullspace(rows, ambient_dim: int | None = None):
-    """Basis of {x : <row|x> = 0 for every row}.
-
-    ambient_dim is required when rows is empty.
-    """
-    rows = list(rows)
-    if not rows:
-        if ambient_dim is None:
-            raise ValueError("ambient_dim required for an empty row list")
-        return [tuple(ONE if i == j else ZERO for j in range(ambient_dim))
-                for i in range(ambient_dim)]
-    ncols = len(rows[0])
-    ech, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for row, c in zip(ech, pivots):
-            x[c] = -row[f]
-        basis.append(tuple(x))
-    return basis
-
-
 def span_basis(vectors):
     """Basis of the linear span of the given vectors (echelon form rows)."""
     vectors = [v for v in vectors if not is_zero_vec(v)]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from ._linalg import frac, nullspace, vdot
+from ._linalg import frac, vdot
 from .errors import InputError, PreconditionError
 from .horoboundary import (Horofunction, enumerate_strata,
                            horofunction_to_json, limit_of_ray)
@@ -214,12 +214,11 @@ def _wall_rays(family: str, rank: int, chart: str) -> list:
     rays = []
     for alpha in rs.positive_roots:
         if chart == "weight":
-            row = [vdot(weight_ambient(rs, u), alpha) for u in units]
+            a, b = (vdot(weight_ambient(rs, u), alpha) for u in units)
         else:
-            row = [vdot(alpha, point_ambient(rs, u)) for u in units]
-        kernel = nullspace([tuple(row)])
-        assert len(kernel) == 1
-        d = kernel[0]
+            a, b = (vdot(alpha, point_ambient(rs, u)) for u in units)
+        # the kernel of the row (a, b), in the basis echelon form gives
+        d = (-b / a, Fraction(1)) if a else (Fraction(1), Fraction(0))
         rays.append(d)
         rays.append(tuple(-c for c in d))
     return rays

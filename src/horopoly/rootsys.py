@@ -3,13 +3,13 @@
 Families A, B, C and D in their standard coordinate realisations: family
 A of rank r lives in the trace-zero hyperplane of R^(r+1), the other
 families fill R^r.  The reflection group of each system is enumerated
-explicitly in its closed form, as the permutation (A) or signed
-permutation (B, C, D) matrices of the ambient coordinates, so orbits,
-chamber membership and stabilisers are all decided exactly.  Orbits are
-computed without those matrices: each element, and each simple
-reflection, is also kept as the pair (p, s) of a permutation and a sign
+explicitly in its closed form, as the permutations (A) or signed
+permutations (B, C, D) of the ambient coordinates, so orbits, chamber
+membership and stabilisers are all decided exactly.  Each element, and
+each simple reflection, is the pair (p, s) of a permutation and a sign
 vector, and it maps v to (s_i * v[p_i])_i, which takes negations and no
-products.
+products.  The same elements as exact matrices are built from the pairs
+only when a caller asks for them.
 
 Family A keeps its ambient coordinates, and two rank-sized charts
 translate to full-dimensional coordinates where polytopes live: a point
@@ -28,7 +28,6 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, permutations, product
 
 from ._linalg import (
-    ONE,
     ZERO,
     homogeneous,
     mat_vec,
@@ -58,35 +57,38 @@ class RootSystem:
 class WeylGroup:
     """The finite reflection group, fully enumerated.
 
-    elements: every group element as an exact orthogonal matrix, in a
-    canonical sorted order.  generators: the simple reflections, aligned
-    with the simple roots.  signed_elements and signed_generators are the
-    same elements as signed permutations (p, s), for signed_permute; they
-    are kept on the instance, so they live exactly as long as the group.
+    signed_elements: every group element as a signed permutation (p, s),
+    for signed_permute, in the order of the sorted element matrices.
+    signed_generators: the simple reflections, aligned with the simple
+    roots.  elements and generators are the same as exact orthogonal
+    matrices, built from the pairs on first use and then kept on the
+    instance.
     """
 
     root_system: RootSystem
-    elements: tuple
-    generators: tuple
+    signed_elements: tuple
+    signed_generators: tuple
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.signed_elements)
 
     @cached_property
-    def signed_elements(self) -> tuple:
-        return tuple(_signed_permutation(m) for m in self.elements)
+    def elements(self) -> tuple:
+        return tuple(map(_matrix, self.signed_elements))
 
     @cached_property
-    def signed_generators(self) -> tuple:
-        return tuple(_signed_permutation(g) for g in self.generators)
+    def generators(self) -> tuple:
+        return tuple(map(_matrix, self.signed_generators))
 
 
-def _signed_permutation(matrix) -> tuple:
-    """The pair (p, s) of a signed permutation matrix: row i holds s_i in
+def _matrix(sp) -> tuple:
+    """The matrix of the signed permutation (p, s): row i holds s_i in
     column p_i."""
-    p = tuple(next(j for j, x in enumerate(row) if x) for row in matrix)
-    return p, tuple(int(row[j]) for row, j in zip(matrix, p))
+    p, s = sp
+    n = len(p)
+    return tuple(tuple(Fraction(t) if j == c else ZERO for j in range(n))
+                 for c, t in zip(p, s))
 
 
 def signed_permute(sp, v) -> tuple:
@@ -151,17 +153,20 @@ def _simple_root_combination(rs: RootSystem, v):
     return solve_system(transpose(rs.simple_roots), vec(v))
 
 
-def reflection_matrix(root) -> tuple:
-    """The orthogonal reflection fixing the root's kernel hyperplane."""
-    root = vec(root)
-    n = len(root)
-    norm2 = vdot(root, root)
-    if norm2 == 0:
-        raise InputError("cannot reflect in the zero vector")
-    return tuple(tuple((Fraction(1) if i == j else Fraction(0))
-                       - 2 * root[i] * root[j] / norm2
-                       for j in range(n))
-                 for i in range(n))
+def _reflection(root) -> tuple:
+    """The reflection in a classical root as a signed permutation: e_i - e_j
+    swaps two coordinates, e_i + e_j swaps and negates them, and a multiple
+    of e_i negates one."""
+    p, s = list(range(len(root))), [1] * len(root)
+    support = [k for k, x in enumerate(root) if x]
+    if len(support) == 2:
+        i, j = support
+        p[i], p[j] = j, i
+        if root[i] == root[j]:
+            s[i] = s[j] = -1
+    else:
+        s[support[0]] = -1
+    return tuple(p), tuple(s)
 
 
 def _check_group_cap(label: str, r: int) -> None:
@@ -194,14 +199,14 @@ def weyl_group(rs: RootSystem) -> WeylGroup:
     label, n = rs.type_label, rs.ambient_dim
     _check_group_cap(label, rs.rank)
     if label == "A":
-        signs = [(ONE,) * n]
+        signs = [(1,) * n]
     else:
-        signs = [s for s in product((ONE, -ONE), repeat=n)
-                 if label != "D" or s.count(-ONE) % 2 == 0]
-    elems = sorted(tuple(tuple(s[i] if j == p[i] else ZERO for j in range(n))
-                         for i in range(n))
-                   for p in permutations(range(n)) for s in signs)
-    gens = tuple(reflection_matrix(a) for a in rs.simple_roots)
+        signs = [s for s in product((1, -1), repeat=n)
+                 if label != "D" or s.count(-1) % 2 == 0]
+    # row i of an element's matrix sorts by s_i * (n - p_i)
+    elems = sorted(((p, s) for p in permutations(range(n)) for s in signs),
+                   key=lambda ps: tuple(t * (n - c) for c, t in zip(*ps)))
+    gens = tuple(_reflection(a) for a in rs.simple_roots)
     return WeylGroup(rs, tuple(elems), gens)
 
 

@@ -10,14 +10,17 @@ choice, and the hull itself is the unit ball of the dual compactification.
 Two choices are considered equivalent when their hulls admit a bijection
 of face lattices that preserves dimension and inclusion, commutes with
 the reflection group, and matches each face's incidence pattern against
-the chamber walls.  The decision procedure is an exhaustive backtracking
-search over lattice bijections, pruned by exact invariants (dimension and
-wall-sign signature), so a False answer is a proof of non-existence
-rather than a heuristic failure.  The signature also fixes a face's
-setwise stabilizer: that is the stabilizer of the face's barycenter,
-which Steinberg's theorem generates from the reflections in the roots
-vanishing there.  A bijection commuting with the simple reflections
-commutes with the whole group, so the search acts through those alone.
+the chamber walls.  A face lattice is atomistic (Ziegler 1995, 2.2), so
+such a bijection is fixed by where it sends the vertices.  The decision
+procedure is an exhaustive backtracking search over equivariant vertex
+bijections, pruned by the vertices' wall-sign signatures; it accepts one
+that sends every face onto a face of the same dimension and signature.
+So a False answer is a proof of non-existence rather than a heuristic
+failure.  The signature also fixes a face's setwise stabilizer: that is
+the stabilizer of the face's barycenter, which Steinberg's theorem
+generates from the reflections in the roots vanishing there.  A
+bijection commuting with the simple reflections commutes with the whole
+group, so the search acts through those alone.
 
 Both run on integers.  The hull's vertices go to ambient coordinates
 once, scaled by one common positive integer, and the simple reflections
@@ -207,59 +210,48 @@ def report_to_json(report: CompactificationReport) -> dict:
 
 
 class _LatticeProfile:
-    """Face lattice of a hull with its group action and exact invariants."""
+    """A hull's vertex action and the exact invariants of its faces."""
 
     def __init__(self, rs: RootSystem, hull: Polytope):
-        faces = face_lattice(hull)
-        self.sets = [frozenset(f.vertex_indices) for f in faces]
-        index_of = {s: i for i, s in enumerate(self.sets)}
         ints = _ambient_integers(rs, hull.vertices)
         vpos = {u: i for i, u in enumerate(ints)}
-        self.action = []  # one face permutation per simple reflection
-        for g in weyl_group(rs).signed_generators:
-            try:
-                perm = tuple(vpos[signed_permute(g, u)] for u in ints)
-            except KeyError:
-                raise AssertionError("weight hull is not group invariant")
-            self.action.append(tuple(index_of[frozenset(perm[i] for i in s)]
-                                     for s in self.sets))
+        try:  # one vertex permutation per simple reflection
+            self.action = [tuple(vpos[signed_permute(g, u)] for u in ints)
+                           for g in weyl_group(rs).signed_generators]
+        except KeyError:
+            raise AssertionError("weight hull is not group invariant")
         pairings = _root_pairings(rs, ints)
-        self.keys = [(face.dim, _wall_signature(pairings, face.vertex_indices))
-                     for face in faces]
-        self.incl = [[a <= b for b in self.sets] for a in self.sets]
+        self.vertex_keys = [_wall_signature(pairings, (i,)) for i in range(len(ints))]
+        self.faces = {frozenset(f.vertex_indices):
+                      (f.dim, _wall_signature(pairings, f.vertex_indices))
+                      for f in face_lattice(hull)}
 
 
 def same_compactification(spec1: WeightSpec, spec2: WeightSpec) -> bool:
-    """Equivalence by exhaustive equivariant lattice-bijection search."""
+    """Equivalence by exhaustive equivariant vertex-bijection search."""
     if spec1.root_system != spec2.root_system:
         raise InputError("specs must share a root system")
     rs = spec1.root_system
     p1 = _LatticeProfile(rs, spec1.hull)
     p2 = _LatticeProfile(rs, spec2.hull)
-    n = len(p1.sets)
-    if n != len(p2.sets) or sorted(p1.keys) != sorted(p2.keys):
+    n = len(p1.vertex_keys)
+    if (n != len(p2.vertex_keys)
+            or sorted(p1.faces.values()) != sorted(p2.faces.values())):
         return False
-    candidates = [[g for g in range(n) if p2.keys[g] == p1.keys[f]]
-                  for f in range(n)]
     assign = [None] * n
     taken = [False] * n
 
-    def place(f: int, g: int, log: list) -> bool:
-        """Assign the whole equivariant closure of f -> g; False on clash."""
-        stack = [(f, g)]
+    def place(v: int, w: int, log: list) -> bool:
+        """Assign the whole equivariant closure of v -> w; False on clash."""
+        stack = [(v, w)]
         while stack:
             a, b = stack.pop()
             if assign[a] is not None:
                 if assign[a] != b:
                     return False
                 continue
-            if taken[b] or p1.keys[a] != p2.keys[b]:
+            if taken[b] or p1.vertex_keys[a] != p2.vertex_keys[b]:
                 return False
-            for c in range(n):
-                if assign[c] is not None:
-                    if (p1.incl[a][c] != p2.incl[b][assign[c]]
-                            or p1.incl[c][a] != p2.incl[assign[c]][b]):
-                        return False
             assign[a] = b
             taken[b] = True
             log.append(a)
@@ -269,15 +261,15 @@ def same_compactification(spec1: WeightSpec, spec2: WeightSpec) -> bool:
 
     def search() -> bool:
         try:
-            f = assign.index(None)
+            v = assign.index(None)
         except ValueError:
-            return True
-        for g in candidates[f]:
-            if taken[g]:
+            return all(p2.faces.get(frozenset(assign[i] for i in s)) == key
+                       for s, key in p1.faces.items())
+        for w in range(n):
+            if taken[w] or p2.vertex_keys[w] != p1.vertex_keys[v]:
                 continue
             log = []
-            ok = place(f, g, log)
-            if ok and search():
+            if place(v, w, log) and search():
                 return True
             for a in log:
                 taken[assign[a]] = False

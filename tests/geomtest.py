@@ -7,7 +7,12 @@ nullspace per candidate, and finds vertices by a rank test on the facet
 normals through each point.  oracle_vertex_enumeration goes the other
 way, from halfspaces to vertices, for polar duals to be checked against.
 matrix_orbit and wall_signature are the Fraction matrix and barycenter
-forms of the Weyl orbit and of the wall signature of a face.
+forms of the Weyl orbit and of the wall signature of a face, and
+reflection_matrix is the reflection in a root by its textbook formula.
+oracle_same_compactification is the equivalence search over whole face
+lattices, with a face-level group action and an inclusion table, for the
+vertex-level search of satake to be checked against.  nullspace is the
+Fraction kernel basis that the subset-scan oracle takes its normals from.
 """
 
 from __future__ import annotations
@@ -16,19 +21,21 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from horopoly.errors import EmptyInput
+from horopoly.errors import EmptyInput, InputError
 from horopoly.polytope import (
     Halfspace,
     Polytope,
     _hull_2d,
     convex_hull,
+    face_lattice,
 )
-from horopoly.rootsys import weight_ambient
+from horopoly.rootsys import signed_permute, weight_ambient, weyl_group
+from horopoly.satake import _ambient_integers, _root_pairings, _wall_signature
 from horopoly._linalg import (
     ONE,
+    ZERO,
     is_zero_vec,
     mat_vec,
-    nullspace,
     rref,
     solve_system,
     span_basis,
@@ -79,6 +86,42 @@ def matrix_orbit(group, v) -> tuple:
     """The orbit of v under every element matrix, deduplicated and sorted."""
     v = vec(v)
     return tuple(sorted({mat_vec(m, v) for m in group.elements}))
+
+
+def reflection_matrix(root) -> tuple:
+    """The orthogonal reflection fixing the root's kernel hyperplane."""
+    root = vec(root)
+    n = len(root)
+    norm2 = vdot(root, root)
+    if norm2 == 0:
+        raise InputError("cannot reflect in the zero vector")
+    return tuple(tuple((ONE if i == j else ZERO) - 2 * root[i] * root[j] / norm2
+                       for j in range(n))
+                 for i in range(n))
+
+
+def nullspace(rows, ambient_dim: int | None = None):
+    """Basis of {x : <row|x> = 0 for every row}.
+
+    ambient_dim is required when rows is empty.
+    """
+    rows = list(rows)
+    if not rows:
+        if ambient_dim is None:
+            raise ValueError("ambient_dim required for an empty row list")
+        return [tuple(ONE if i == j else ZERO for j in range(ambient_dim))
+                for i in range(ambient_dim)]
+    ncols = len(rows[0])
+    ech, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        x = [ZERO] * ncols
+        x[f] = ONE
+        for row, c in zip(ech, pivots):
+            x[c] = -row[f]
+        basis.append(tuple(x))
+    return basis
 
 
 def rand_ball(rng: random.Random, dim: int, count: int) -> Polytope:
@@ -212,3 +255,80 @@ def oracle_vertex_enumeration(halfspaces) -> Polytope:
         if all(h.contains(x) for h in hs):
             candidates.add(x)
     return convex_hull(candidates)
+
+
+class _FaceLatticeProfile:
+    """Face lattice of a hull with its face-level group action, exact
+    invariants and full inclusion table."""
+
+    def __init__(self, rs, hull):
+        faces = face_lattice(hull)
+        self.sets = [frozenset(f.vertex_indices) for f in faces]
+        index_of = {s: i for i, s in enumerate(self.sets)}
+        ints = _ambient_integers(rs, hull.vertices)
+        vpos = {u: i for i, u in enumerate(ints)}
+        self.action = []  # one face permutation per simple reflection
+        for g in weyl_group(rs).signed_generators:
+            perm = tuple(vpos[signed_permute(g, u)] for u in ints)
+            self.action.append(tuple(index_of[frozenset(perm[i] for i in s)]
+                                     for s in self.sets))
+        pairings = _root_pairings(rs, ints)
+        self.keys = [(face.dim, _wall_signature(pairings, face.vertex_indices))
+                     for face in faces]
+        self.incl = [[a <= b for b in self.sets] for a in self.sets]
+
+
+def oracle_same_compactification(spec1, spec2) -> bool:
+    """Equivalence by exhaustive search over face-lattice bijections that
+    keep each face's (dim, wall signature), preserve inclusion both ways
+    and commute with the simple reflections."""
+    rs = spec1.root_system
+    p1 = _FaceLatticeProfile(rs, spec1.hull)
+    p2 = _FaceLatticeProfile(rs, spec2.hull)
+    n = len(p1.sets)
+    if n != len(p2.sets) or sorted(p1.keys) != sorted(p2.keys):
+        return False
+    candidates = [[g for g in range(n) if p2.keys[g] == p1.keys[f]]
+                  for f in range(n)]
+    assign = [None] * n
+    taken = [False] * n
+
+    def place(f, g, log):
+        stack = [(f, g)]
+        while stack:
+            a, b = stack.pop()
+            if assign[a] is not None:
+                if assign[a] != b:
+                    return False
+                continue
+            if taken[b] or p1.keys[a] != p2.keys[b]:
+                return False
+            for c in range(n):
+                if assign[c] is not None:
+                    if (p1.incl[a][c] != p2.incl[b][assign[c]]
+                            or p1.incl[c][a] != p2.incl[assign[c]][b]):
+                        return False
+            assign[a] = b
+            taken[b] = True
+            log.append(a)
+            for act1, act2 in zip(p1.action, p2.action):
+                stack.append((act1[a], act2[b]))
+        return True
+
+    def search():
+        try:
+            f = assign.index(None)
+        except ValueError:
+            return True
+        for g in candidates[f]:
+            if taken[g]:
+                continue
+            log = []
+            if place(f, g, log) and search():
+                return True
+            for a in log:
+                taken[assign[a]] = False
+                assign[a] = None
+        return False
+
+    return search()

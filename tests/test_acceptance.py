@@ -108,9 +108,11 @@ def test_02_duality_involution():
             faces = [F for F in face_lattice(B) if F.is_proper]
             dual_dims = {frozenset(f.vertex_indices): f.dim
                          for f in face_lattice(Q)}
+            # the polar vertices w with <w|v> = -1, for each ball vertex v
+            tight = [frozenset(k for k, w in enumerate(Q.vertices) if vdot(w, v) == -1)
+                     for v in B.vertices]
             for F in faces:
-                idxs = frozenset(k for k, w in enumerate(Q.vertices)
-                                 if all(vdot(w, v) == -1 for v in F.vertices))
+                idxs = frozenset.intersection(*(tight[i] for i in F.vertex_indices))
                 # the pairing must land exactly on a face of the polar
                 assert dual_dims[idxs] == dim - 1 - F.dim
             # spot-check the dual_face helper against the same pairing

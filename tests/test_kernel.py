@@ -12,9 +12,9 @@ from math import lcm, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import affine_span, on_facet, oracle_hull, rank
+from geomtest import affine_span, nullspace, on_facet, oracle_hull, rank
 from horopoly._linalg import (extend_minors, homogeneous, normal_map,
-                              nullspace, pivot_columns, rref, vadd, vscale)
+                              pivot_columns, rref, vadd, vscale)
 from horopoly.polytope import convex_hull, face_lattice
 from horopoly.rootsys import (build, named_weight, weight_coords, weyl_group,
                               weyl_orbit)

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import identity_matrix, mat_mul, matrix_orbit, rand_vector, rank
-from horopoly._linalg import mat_vec, nullspace, transpose, vdot
+from geomtest import (identity_matrix, mat_mul, matrix_orbit, nullspace, rand_vector,
+                      rank, reflection_matrix)
+from horopoly._linalg import mat_vec, transpose, vdot
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.rootsys import (
     build,
     named_weight,
     point_ambient,
     point_coords,
-    reflection_matrix,
     signed_permute,
     singular_support,
     weight_ambient,

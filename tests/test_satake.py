@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import oracle_vertex_enumeration, relative_interior_point, wall_signature
+from geomtest import (oracle_same_compactification, oracle_vertex_enumeration,
+                      relative_interior_point, wall_signature)
 from horopoly._linalg import mat_vec
 from horopoly.errors import InputError, PreconditionError
 from horopoly.horoboundary import enumerate_strata
@@ -29,6 +30,8 @@ from horopoly.polytope import (
 from horopoly.rootsys import (
     build,
     named_weight,
+    weyl_group,
+    weyl_orbit,
     weyl_point_matrices,
     weyl_weight_matrices,
 )
@@ -384,7 +387,7 @@ def test_equal_wall_signatures_give_equal_stabilizers():
             perms = [[vpos[mat_vec(m, v)] for v in hull.vertices] for m in mats]
             stabilizer_of = {}
             profile = _LatticeProfile(rs, hull)
-            for s, key in zip(profile.sets, profile.keys):
+            for s, key in profile.faces.items():
                 stab = frozenset(k for k, perm in enumerate(perms)
                                  if {perm[i] for i in s} == s)
                 assert stabilizer_of.setdefault(key, stab) == stab, (label, rank, name)
@@ -420,26 +423,24 @@ def test_lattice_profile_keys_match_barycenter_signatures():
             continue
         checked += 1
         rs = spec.root_system
-        assert _LatticeProfile(rs, hull).keys == oracle_keys(rs, hull)
+        profile = _LatticeProfile(rs, hull)
+        assert list(profile.faces.values()) == oracle_keys(rs, hull)
+        assert profile.vertex_keys == [wall_signature(rs, v) for v in hull.vertices]
     assert checked >= 40
 
 
 def test_lattice_profile_generators_give_the_whole_action():
-    """The face permutations of the simple reflections generate exactly the
-    permutations of all group elements."""
+    """The vertex permutations of the simple reflections generate exactly
+    the permutations of all group elements."""
     for rs, name in ((A3, "adjoint"), (B2, "standard"), (build("C", 3), "fundamental:2"),
                      (build("D", 3), "fundamental:3")):
         hull = weight_hull(spec_of(rs, name))
         profile = _LatticeProfile(rs, hull)
         assert len(profile.action) == rs.rank
-        index_of = {s: i for i, s in enumerate(profile.sets)}
         vpos = {v: i for i, v in enumerate(hull.vertices)}
-        whole = set()
-        for m in weyl_weight_matrices(rs):
-            perm = [vpos[mat_vec(m, v)] for v in hull.vertices]
-            whole.add(tuple(index_of[frozenset(perm[i] for i in s)]
-                            for s in profile.sets))
-        generated = {tuple(range(len(profile.sets)))}
+        whole = {tuple(vpos[mat_vec(m, v)] for v in hull.vertices)
+                 for m in weyl_weight_matrices(rs)}
+        generated = {tuple(range(len(hull.vertices)))}
         frontier = list(generated)
         while frontier:
             p = frontier.pop()
@@ -449,6 +450,51 @@ def test_lattice_profile_generators_give_the_whole_action():
                     generated.add(q)
                     frontier.append(q)
         assert generated == whole
+
+
+def test_vertex_search_agrees_with_the_face_lattice_oracle():
+    """Every ordered pair of specs within one root system gets the same
+    answer from the vertex-level search as from the face-lattice search."""
+    answers = set()
+    for label, rank in (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2),
+                        ("C", 3), ("D", 3)):
+        rs = build(label, rank)
+        fundamentals = [named_weight(rs, f"fundamental:{k}")
+                        for k in range(1, rank + 1)]
+        regular = tuple(map(sum, zip(*fundamentals)))
+        standard = named_weight(rs, "standard")
+        weights = dict.fromkeys([named_weight(rs, "adjoint"), standard,
+                                 named_weight(rs, "dual-standard")] + fundamentals)
+        candidates = [[w] for w in weights] + [[regular]]
+        candidates += [[standard, w] for w in weights if w != standard]
+        specs = []
+        for ws in candidates:
+            for scale in (1, F(3, 7)) if ws == [regular] else (1,):
+                try:
+                    spec = weight_spec(rs, ws, scale)
+                    spec.hull
+                except PreconditionError:
+                    continue
+                specs.append(spec)
+        for s in specs:
+            for t in specs:
+                answer = same_compactification(s, t)
+                assert answer == oracle_same_compactification(s, t), (
+                    label, rank, s.highest_weights, t.highest_weights)
+                answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_group_matrices_stay_unbuilt():
+    """Orbits, reports and the equivalence search run on signed
+    permutations alone; the element matrices are built only on request."""
+    weyl_group.cache_clear()
+    for rs, name in ((A3, "adjoint"), (build("B", 3), "standard")):
+        w = named_weight(rs, name)
+        weyl_orbit(weyl_group(rs), w)
+        classify(spec_of(rs, w))
+        assert same_compactification(spec_of(rs, w), spec_of(rs, w, scale=3))
+        assert not {"elements", "generators"} & vars(weyl_group(rs)).keys()
 
 
 # ---------------------------------------------------------------------------
