@@ -375,10 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("limit-ray", help="boundary function of a ray")
     p.add_argument("--ball", required=True, help="unit ball JSON file")
-    p.add_argument("--q", required=True,
-                   help="ray start, e.g. 0,3; one starting with - as --q=-1,0")
-    p.add_argument("--u", required=True,
-                   help="ray direction, e.g. 1,0; one starting with - as --u=-1,0")
+    p.add_argument("--q", required=True, help="ray start, e.g. 0,3 or -1,0")
+    p.add_argument("--u", required=True, help="ray direction, e.g. 1,0 or -1/2,1")
     p.add_argument("--out", help="write the boundary function JSON here")
     p.set_defaults(func=_cmd_limit_ray)
 
@@ -423,8 +421,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_vector_flags(argv) -> list:
+    """Join --q/--u to a following vector that starts with a minus sign,
+    --q -1,0 to --q=-1,0, which argparse would otherwise read as an option."""
+    out, i = [], 0
+    while i < len(argv):
+        tok, nxt = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in ("--q", "--u") and len(nxt) > 1 and nxt[0] == "-" and nxt[1] in "0123456789./":
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _join_vector_flags(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

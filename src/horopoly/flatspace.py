@@ -12,6 +12,13 @@ rays converge to the boundary functions the horoboundary module computes
 exactly.  This module is the floating-point end of the package; the flat
 keeps a parallel exact code path used to follow rays far beyond where
 matrix exponentials stay well conditioned.
+
+The chart is linear, n*chart(H) = A*H with the integer matrix
+A_kj = n*[j <= k] - (k + 1), so with L the lcm of the ball's facet
+denominators each facet functional u gives the integer gauge row
+-(L*u)*A, and the gauge of H = X/d (X integers, d > 0) is
+max(0, max over rows of <row|X>) / (n*L*d), exactly.  Every gauge on the
+flat is one integer dot product per facet on these rows.
 """
 
 from __future__ import annotations
@@ -19,15 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from ._linalg import frac, project_onto_span, vadd, vdot, vec, vscale, vzero
 from .errors import DimensionMismatch, InputError, PreconditionError
 from .horoboundary import Horofunction, evaluate, limit_of_ray
-from .horoboundary import psi as chart_psi
-from .norm import PolyhedralNorm, gauge, polyhedral_norm
+from .norm import PolyhedralNorm, polyhedral_norm
 from .rootsys import RootSystem, build, weyl_point_matrices
 from .satake import invariant_under
 
@@ -81,6 +89,19 @@ class FlatSpace:
     root_system: RootSystem
     norm: PolyhedralNorm
 
+    @cached_property
+    def _gauge_rows(self) -> tuple:
+        """(rows, s): per ball facet u the integer row -(L*u)*A, and s = n*L."""
+        n = self.n
+        functionals = [h.functional for h in self.norm.ball.facets]
+        L = math.lcm(*(x.denominator for u in functionals for x in u))
+        rows = []
+        for u in functionals:
+            U = [x.numerator * (L // x.denominator) for x in u]
+            rows.append(tuple(-sum(U[k] * (n * (j <= k) - k - 1) for k in range(n - 1))
+                              for j in range(n)))
+        return tuple(rows), n * L
+
 
 def flat_space(n, ball) -> FlatSpace:
     """Bundle a matrix size with a permutation-invariant unit ball.
@@ -120,9 +141,28 @@ def flat_chart(fs: FlatSpace, H) -> tuple:
     return tuple(accumulate(centered))[: fs.n - 1]
 
 
+def _integer_point(fs: FlatSpace, H) -> tuple:
+    """(X, d): integers X and one denominator d > 0 with H = X/d exactly.
+
+    Floats give their exact binary value, so d is a power of two for them.
+    """
+    ratios = [x.as_integer_ratio() if isinstance(x, float)
+              else frac(x).as_integer_ratio() for x in H]
+    if len(ratios) != fs.n:
+        raise DimensionMismatch("expected one entry per diagonal slot")
+    d = math.lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _gauge_ratio(fs: FlatSpace, X, d) -> tuple:
+    """(a, b): integers whose ratio a/b is the gauge of the flat vector X/d."""
+    rows, s = fs._gauge_rows
+    return max(0, max(sum(map(mul, row, X)) for row in rows)), s * d
+
+
 def flat_gauge(fs: FlatSpace, H) -> Fraction:
-    """Exact gauge of a flat vector, read through the chart."""
-    return gauge(fs.norm, flat_chart(fs, H))
+    """Exact gauge of a flat vector: the chart gauge, on integer rows."""
+    return Fraction(*_gauge_ratio(fs, *_integer_point(fs, H)))
 
 
 def exp_flat(H) -> np.ndarray:
@@ -156,13 +196,17 @@ def cartan_projection(P, Q) -> tuple:
 def finsler_distance(fs: FlatSpace, P, Q) -> float:
     """Gauge length of the relative position of Q seen from P.
 
-    The projection is rationalized exactly before the gauge is applied, so
-    the only floating error is the one already in the spectrum.
+    The spectrum's floats are read as their exact binary values over one
+    power-of-two denominator, and the gauge is an integer numerator over
+    an integer denominator.  Python's int/int division rounds correctly,
+    so the result is the exact gauge of the spectrum rounded once: the
+    only floating error is the one already in the spectrum.
     """
     H = cartan_projection(P, Q)
     if len(H) != fs.n:
         raise DimensionMismatch("points do not match the space's matrix size")
-    return float(flat_gauge(fs, H))
+    a, b = _gauge_ratio(fs, *_integer_point(fs, H))
+    return a / b
 
 
 def psi(fs: FlatSpace, z, x) -> float:
@@ -175,8 +219,14 @@ def psi_flat(fs: FlatSpace, Hz, Hx) -> Fraction:
 
     On diagonal points the matrix metric reduces to the chart gauge, which
     lets rays run to parameter values far beyond the conditioning guard.
+    The chart is linear, so this is gauge(Hz - Hx) - gauge(Hz), with the
+    difference taken exactly over the product of the two denominators.
     """
-    return chart_psi(fs.norm, flat_chart(fs, Hz), flat_chart(fs, Hx))
+    Z, dz = _integer_point(fs, Hz)
+    X, dx = _integer_point(fs, Hx)
+    diff = [z * dx - x * dz for z, x in zip(Z, X)]
+    return (Fraction(*_gauge_ratio(fs, diff, dz * dx))
+            - Fraction(*_gauge_ratio(fs, Z, dz)))
 
 
 def flat_limit(fs: FlatSpace, start, direction) -> Horofunction:

@@ -8,9 +8,10 @@ duality works in:
 
     polar(B) = {y : <y|x> >= -1 for all x in B}.
 
-A polytope computes its facet-vertex incidence and its polar once, on
-first use, and keeps both on the instance; every face query (face_of,
-face_lattice, Face.support, dual_face) reads that one incidence.
+A polytope computes its facet-vertex incidence, its face lattice and its
+polar once, on first use, and keeps them on the instance; every face
+query (face_of, face_lattice, Face.support, dual_face) reads that one
+incidence.
 
 Designed for low dimensions (<= 4) and modest vertex counts.  Vertices
 and facets are Fraction tuples, but the kernel computes on integers: each
@@ -137,6 +138,34 @@ class Polytope:
             out.append(frozenset(i for i, v in enumerate(self._homogeneous)
                                  if not sum(map(mul, row, v))))
         return tuple(out)
+
+    @cached_property
+    def lattice(self) -> tuple:
+        """All faces graded by dimension, the polytope itself included.
+
+        Proper faces are exactly the intersections of facets, computed by
+        closing the facet vertex sets under pairwise intersection.
+        """
+        if self.affine_dim == 0:
+            return (Face(self, (0,), 0),)
+        if not self.facets:
+            raise PreconditionError("face lattice needs a facet description")
+        facet_sets = self.incidence
+        proper = set(facet_sets)
+        frontier = set(facet_sets)
+        while frontier:
+            fresh = set()
+            for s in frontier:
+                for f in facet_sets:
+                    t = s & f
+                    if t and t not in proper:
+                        proper.add(t)
+                        fresh.add(t)
+            frontier = fresh
+        faces = [_face_from_index_set(self, s) for s in proper]
+        faces.append(Face(self, tuple(range(len(self.vertices))), self.affine_dim))
+        faces.sort(key=lambda f: (f.dim, f.vertex_indices))
+        return tuple(faces)
 
     @cached_property
     def polar(self) -> "Polytope":
@@ -337,30 +366,9 @@ def face_of(P: Polytope, vertex_indices) -> Face:
 def face_lattice(P: Polytope) -> tuple:
     """All faces of P graded by dimension: P itself included, empty face not.
 
-    Proper faces are exactly the intersections of facets, computed by
-    closing the facet vertex sets under pairwise intersection.
+    Built once per polytope and kept on it; see Polytope.lattice.
     """
-    n = len(P.vertices)
-    if P.affine_dim == 0:
-        return (Face(P, (0,), 0),)
-    if not P.facets:
-        raise PreconditionError("face lattice needs a facet description")
-    facet_sets = P.incidence
-    proper = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        fresh = set()
-        for s in frontier:
-            for f in facet_sets:
-                t = s & f
-                if t and t not in proper:
-                    proper.add(t)
-                    fresh.add(t)
-        frontier = fresh
-    faces = [_face_from_index_set(P, s) for s in proper]
-    faces.append(Face(P, tuple(range(n)), P.affine_dim))
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    return tuple(faces)
+    return P.lattice
 
 
 def f_vector(P: Polytope) -> tuple:

@@ -13,15 +13,21 @@ oracle_same_compactification is the equivalence search over whole face
 lattices, with a face-level group action and an inclusion table, for the
 vertex-level search of satake to be checked against.  nullspace is the
 Fraction kernel basis that the subset-scan oracle takes its normals from.
+oracle_flat_gauge, oracle_finsler_gauge and oracle_psi_flat read flat
+vectors through the Fraction chart (centre to trace zero, partial sums)
+and the chart gauge, for the integer gauge rows of flatspace to be checked
+against.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from horopoly.errors import EmptyInput, InputError
+from horopoly.horoboundary import psi as chart_psi
+from horopoly.norm import gauge
 from horopoly.polytope import (
     Halfspace,
     Polytope,
@@ -332,3 +338,24 @@ def oracle_same_compactification(spec1, spec2) -> bool:
         return False
 
     return search()
+
+
+def oracle_flat_chart(fs, H) -> tuple:
+    """Chart coordinates of a flat vector of the flat space fs, in Fraction
+    arithmetic: centred to trace zero, then partial sums."""
+    vals = vec(H)
+    mean = sum(vals, start=ZERO) / fs.n
+    return tuple(accumulate(x - mean for x in vals))[: fs.n - 1]
+
+
+def oracle_flat_gauge(fs, H) -> Fraction:
+    return gauge(fs.norm, oracle_flat_chart(fs, H))
+
+
+def oracle_finsler_gauge(fs, H) -> float:
+    """The distance finsler_distance reports for the relative spectrum H."""
+    return float(oracle_flat_gauge(fs, H))
+
+
+def oracle_psi_flat(fs, Hz, Hx) -> Fraction:
+    return chart_psi(fs.norm, oracle_flat_chart(fs, Hz), oracle_flat_chart(fs, Hx))

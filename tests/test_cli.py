@@ -221,6 +221,19 @@ class TestBoundaryVerbs:
         assert code == 0
         assert json.loads(out) == {"face": [3], "p": ["0", "0"]}
 
+    def test_negative_vectors_as_separate_tokens(self, capsys, square_file):
+        joined = run(capsys, "limit-ray", "--ball", square_file,
+                     "--q=-1,0", "--u=-1/2,1")
+        spaced = run(capsys, "limit-ray", "--ball", square_file,
+                     "--q", "-1,0", "--u", "-1/2,1")
+        assert joined[0] == 0 and spaced[:2] == joined[:2]
+
+    def test_flag_is_not_taken_as_a_vector(self, capsys, square_file):
+        code, _, err = run(capsys, "limit-ray", "--ball", square_file,
+                           "--q", "--u", "1,0")
+        assert code == 2
+        assert "--q: expected one argument" in err
+
     def test_bad_vector_text(self, capsys, square_file):
         code, _, err = run(capsys, "limit-ray", "--ball", square_file,
                            "--q", "0;3", "--u", "1,0")

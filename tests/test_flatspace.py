@@ -4,13 +4,16 @@ The exact chart gauge serves as the oracle for every floating quantity:
 the eigensolver route must land on it wherever both apply.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from geomtest import coords_in_basis
+import horopoly.flatspace as flatspace
+from geomtest import (coords_in_basis, oracle_finsler_gauge, oracle_flat_gauge,
+                      oracle_psi_flat)
 from horopoly._linalg import vdot, vec
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
@@ -24,7 +27,8 @@ from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
                                 validate_spd)
 from horopoly.horoboundary import evaluate
 from horopoly.polytope import convex_hull
-from horopoly.rootsys import build, point_coords
+from horopoly.rootsys import build, named_weight, point_coords
+from horopoly.satake import satake_ball, weight_hull, weight_spec
 
 F = Fraction
 
@@ -229,6 +233,45 @@ class TestNormalizedDistance:
             far = psi(fs3, exp_flat(Hz), exp_flat(Hx))
             lim = float(evaluate(h, flat_chart(fs3, Hx)))
             assert abs(far - lim) <= 1e-6
+
+
+class TestIntegerGaugeRows:
+    """The flat's integer gauge rows against the Fraction chart route, with ==."""
+
+    @pytest.fixture(scope="class")
+    def spaces(self, fs2, fs3, fs3_asym):
+        a3 = build("A", 3)
+        ball = satake_ball(weight_hull(weight_spec(a3, [named_weight(a3, "adjoint")])))
+        return [fs2, fs3, fs3_asym, flat_space(4, ball)]
+
+    def test_distances_of_random_pairs(self, spaces):
+        rng = np.random.default_rng(21)
+        for fs in spaces:
+            for _ in range(100):
+                P, Q = rand_spd_pair(rng, fs.n)
+                H = cartan_projection(P, Q)
+                assert finsler_distance(fs, P, Q) == oracle_finsler_gauge(fs, H)
+                assert flat_gauge(fs, H) == oracle_flat_gauge(fs, H)
+
+    def test_mixed_exponents_and_nonzero_trace(self, spaces, monkeypatch):
+        # spectra no eigensolver returns, fed to finsler_distance directly
+        entries = (1e-300, 5e-324, 1e15, -2.5, 0.1, -7e-5)
+        for fs in spaces:
+            for H in permutations(entries, fs.n):
+                monkeypatch.setattr(flatspace, "cartan_projection", lambda P, Q: H)
+                assert finsler_distance(fs, None, None) == oracle_finsler_gauge(fs, H)
+                assert flat_gauge(fs, H) == oracle_flat_gauge(fs, H)
+
+    def test_psi_flat_at_far_times(self, spaces):
+        rng = random.Random(22)
+        for fs in spaces:
+            for t in (F(1), F(10**4), F(10**8 - 1, 3), F(10**8)):
+                for _ in range(10):
+                    d = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(fs.n)]
+                    Hz = [t * x + F(rng.randint(-5, 5), 3) for x in d]
+                    Hx = [rng.uniform(-3.0, 3.0) for _ in range(fs.n)]
+                    assert psi_flat(fs, Hz, Hx) == oracle_psi_flat(fs, Hz, Hx)
+                    assert psi_flat(fs, Hx, Hz) == oracle_psi_flat(fs, Hx, Hz)
 
 
 class TestSequenceTypes:

@@ -19,6 +19,7 @@ from horopoly._linalg import mat_vec
 from horopoly.errors import InputError, PreconditionError
 from horopoly.horoboundary import enumerate_strata
 from horopoly.norm import polyhedral_norm
+from horopoly import polytope
 from horopoly.polytope import (
     Halfspace,
     convex_hull,
@@ -495,6 +496,26 @@ def test_group_matrices_stay_unbuilt():
         classify(spec_of(rs, w))
         assert same_compactification(spec_of(rs, w), spec_of(rs, w, scale=3))
         assert not {"elements", "generators"} & vars(weyl_group(rs)).keys()
+
+
+def test_face_lattice_built_once_per_hull(monkeypatch):
+    """classify and same_compactification share the hull's one lattice."""
+    built = []
+    face_from_index_set = polytope._face_from_index_set
+
+    def counted(P, idxs):
+        built.append(P)
+        return face_from_index_set(P, idxs)
+
+    monkeypatch.setattr(polytope, "_face_from_index_set", counted)
+    rs = build("B", 3)
+    spec = spec_of(rs, "adjoint")
+    classify(spec)
+    assert same_compactification(spec, spec_of(rs, "adjoint", scale=2))
+    hull = spec.hull
+    # one call per proper face: the top face is built directly
+    assert sum(P is hull for P in built) == len(face_lattice(hull)) - 1
+    assert face_lattice(hull) is face_lattice(hull)
 
 
 # ---------------------------------------------------------------------------
