@@ -19,6 +19,15 @@ denominators each facet functional u gives the integer gauge row
 -(L*u)*A, and the gauge of H = X/d (X integers, d > 0) is
 max(0, max over rows of <row|X>) / (n*L*d), exactly.  Every gauge on the
 flat is one integer dot product per facet on these rows.
+
+Points are handled in stacks.  The checks and the Cartan projection run
+on (k, n, n) arrays through numpy's stacked linear algebra: one
+eigvalsh per stack for the checks, then one cholesky, two solves and one
+eigvalsh for the spectra.  The reports measure each sample set as one
+stack, and the one-pair functions are stacks of one.  A stacked call runs
+the same LAPACK routine on each matrix as a call on that matrix alone,
+so every spectrum, distance and report has the floats of the pair by
+pair route, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
@@ -36,8 +45,7 @@ from ._linalg import frac, project_onto_span, vadd, vdot, vec, vscale, vzero
 from .errors import DimensionMismatch, InputError, PreconditionError
 from .horoboundary import Horofunction, evaluate, limit_of_ray
 from .norm import PolyhedralNorm, polyhedral_norm
-from .rootsys import RootSystem, build, weyl_point_matrices
-from .satake import invariant_under
+from .rootsys import RootSystem, build, point_ambient
 
 _COND_LIMIT = 1e12
 _SYMMETRY_TOL = 1e-12
@@ -46,24 +54,26 @@ _SAMPLE_COND = 1e4
 _SPREAD_GUARD = math.log(_COND_LIMIT / 10.0)  # log spread a decade inside
 
 
-def _point(matrix) -> tuple:
-    """validate_spd without the condition guard; returns (array, cond)."""
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+def _points(stack) -> tuple:
+    """validate_spd on a (k, n, n) stack, without the condition guard.
+
+    Returns the stack as a float array and the per-point condition numbers.
+    """
+    M = np.asarray(stack, dtype=float)
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise InputError("expected a square matrix")
-    n = M.shape[0]
-    if not 2 <= n <= 4:
+    if not 2 <= M.shape[1] <= 4:
         raise InputError("matrix size must be 2, 3, or 4")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix entries must be finite")
-    if float(np.max(np.abs(M - M.T))) > _SYMMETRY_TOL:
+    if float(np.max(np.abs(M - M.swapaxes(-1, -2)))) > _SYMMETRY_TOL:
         raise InputError("matrix is not symmetric")
     vals = np.linalg.eigvalsh(M)
-    if float(vals[0]) <= 0.0:
+    if float(np.min(vals[:, 0])) <= 0.0:
         raise InputError("matrix is not positive definite")
-    if abs(float(np.prod(vals)) - 1.0) > _DET_TOL:
+    if float(np.max(np.abs(np.prod(vals, axis=-1) - 1.0))) > _DET_TOL:
         raise InputError("matrix determinant must equal 1")
-    return M, float(vals[-1] / vals[0])
+    return M, vals[:, -1] / vals[:, 0]
 
 
 def validate_spd(matrix) -> np.ndarray:
@@ -75,10 +85,10 @@ def validate_spd(matrix) -> np.ndarray:
     and a condition number at most 1e12, which alone raises
     PreconditionError.
     """
-    M, cond = _point(matrix)
-    if cond > _COND_LIMIT:
+    M, cond = _points([matrix])
+    if cond[0] > _COND_LIMIT:
         raise PreconditionError("point condition number exceeds 1e12")
-    return M
+    return M[0]
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,8 @@ def flat_space(n, ball) -> FlatSpace:
 
     The ball (a Polytope or a PolyhedralNorm) lives in the n-1 dimensional
     chart of the trace-zero diagonal subspace; invariance under the full
-    coordinate-permutation action is checked here, once.
+    coordinate-permutation action is checked here, once, as closure of the
+    vertices' ambient coordinates under the adjacent transpositions.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= 4:
         raise InputError("matrix size must be 2, 3, or 4")
@@ -116,7 +127,10 @@ def flat_space(n, ball) -> FlatSpace:
     if norm.dim != n - 1:
         raise DimensionMismatch("the ball must have dimension n - 1")
     rs = build("A", n - 1)
-    if not invariant_under(norm.ball, weyl_point_matrices(rs)):
+    # adjacent transpositions of the ambient coordinates generate the group
+    ambient = {point_ambient(rs, v) for v in norm.ball.vertices}
+    if any({p[:i] + (p[i + 1], p[i]) + p[i + 2:] for p in ambient} != ambient
+           for i in range(n - 1)):
         raise PreconditionError(
             "the unit ball must be invariant under the coordinate permutations")
     return FlatSpace(n, rs, norm)
@@ -172,6 +186,24 @@ def exp_flat(H) -> np.ndarray:
     return np.diag(np.exp(vals))
 
 
+def _spectra(P, Q) -> np.ndarray:
+    """Cartan projections of two (k, n, n) stacks of points, row by row.
+
+    Every input check runs on P, then on Q, then the shapes are compared
+    and the condition guard applied; both stacks must have the same shape.
+    """
+    P, cond_p = _points(P)
+    Q, cond_q = _points(Q)
+    if P.shape != Q.shape:
+        raise DimensionMismatch("points have different matrix sizes")
+    if max(np.max(cond_p), np.max(cond_q)) > _COND_LIMIT:
+        raise PreconditionError("point condition number exceeds 1e12")
+    L = np.linalg.cholesky(P)
+    vals = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, Q).swapaxes(-1, -2)))
+    logs = np.log(vals)[:, ::-1]
+    return logs - logs.mean(axis=-1, keepdims=True)
+
+
 def cartan_projection(P, Q) -> tuple:
     """Descending-sorted logs of the spectrum of Q relative to P.
 
@@ -180,17 +212,19 @@ def cartan_projection(P, Q) -> tuple:
     the sorted logarithmic generalized spectrum, re-centered to trace zero.
     Both points must have condition number at most 1e12.
     """
-    P, cond_p = _point(P)
-    Q, cond_q = _point(Q)
-    if P.shape != Q.shape:
-        raise DimensionMismatch("points have different matrix sizes")
-    if max(cond_p, cond_q) > _COND_LIMIT:
-        raise PreconditionError("point condition number exceeds 1e12")
-    L = np.linalg.cholesky(P)
-    vals = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, Q).T))
-    logs = np.log(vals)[::-1]
-    logs = logs - logs.mean()
-    return tuple(float(x) for x in logs)
+    return tuple(_spectra([P], [Q])[0].tolist())
+
+
+def _spectrum_distance(fs: FlatSpace, H) -> float:
+    if len(H) != fs.n:
+        raise DimensionMismatch("points do not match the space's matrix size")
+    a, b = _gauge_ratio(fs, *_integer_point(fs, H))
+    return a / b
+
+
+def _distances(fs: FlatSpace, P, Q) -> list:
+    """finsler_distance over two stacks of points, pair by pair."""
+    return [_spectrum_distance(fs, H) for H in _spectra(P, Q).tolist()]
 
 
 def finsler_distance(fs: FlatSpace, P, Q) -> float:
@@ -202,11 +236,7 @@ def finsler_distance(fs: FlatSpace, P, Q) -> float:
     so the result is the exact gauge of the spectrum rounded once: the
     only floating error is the one already in the spectrum.
     """
-    H = cartan_projection(P, Q)
-    if len(H) != fs.n:
-        raise DimensionMismatch("points do not match the space's matrix size")
-    a, b = _gauge_ratio(fs, *_integer_point(fs, H))
-    return a / b
+    return _spectrum_distance(fs, cartan_projection(P, Q))
 
 
 def psi(fs: FlatSpace, z, x) -> float:
@@ -328,7 +358,9 @@ def flat_limit_consistency(fs: FlatSpace, start, direction, test_points,
     h = flat_limit(fs, start, direction)
     targets = [evaluate(h, flat_chart(fs, p)) for p in pts]
     points_conditioned = all(_spread(fs, p) < _SPREAD_GUARD for p in pts)
-    point_mats = [exp_flat(p) for p in pts] if points_conditioned else None
+    # the test points with the basepoint last: psi's two distances per point
+    point_mats = ([exp_flat(p) for p in pts] + [basepoint(fs)]
+                  if points_conditioned else None)
 
     rows = []
     matrix_reach = 0.0
@@ -338,9 +370,10 @@ def flat_limit_consistency(fs: FlatSpace, start, direction, test_points,
         defect = max(abs(float(psi_flat(fs, Hz, p) - targets[j]))
                      for j, p in enumerate(pts))
         if points_conditioned and _spread(fs, Hz) < _SPREAD_GUARD:
-            z = exp_flat(Hz)
-            for j, x in enumerate(point_mats):
-                defect = max(defect, abs(psi(fs, z, x) - float(targets[j])))
+            z = np.broadcast_to(exp_flat(Hz), (len(point_mats), fs.n, fs.n))
+            *dists, base = _distances(fs, point_mats, z)
+            for j, d in enumerate(dists):
+                defect = max(defect, abs((d - base) - float(targets[j])))
             matrix_reach = t
         rows.append((t, defect))
 
@@ -513,38 +546,44 @@ def invariance_suite(fs: FlatSpace, config: InvarianceConfig | None = None) -> I
                          "before the last scheduled time")
 
     rng = np.random.default_rng(cfg.seed)
-    eye = np.eye(n)
+    eye = np.broadcast_to(np.eye(n), (cfg.samples, n, n))
 
+    # sample in the order of one pass per pair, then measure stack by stack
+    xks = [(sample_spd(rng, n), sample_rotation(rng, n)) for _ in range(cfg.samples)]
+    moved = _distances(fs, [act(k, x) for x, k in xks], eye)
+    still = _distances(fs, [x for x, _ in xks], eye)
     base_defect = 0.0
-    for _ in range(cfg.samples):
-        x = sample_spd(rng, n)
-        k = sample_rotation(rng, n)
-        base_defect = max(base_defect,
-                          abs(finsler_distance(fs, act(k, x), eye)
-                              - finsler_distance(fs, x, eye)))
+    for a, b in zip(moved, still):
+        base_defect = max(base_defect, abs(a - b))
 
+    zxks = [(sample_spd(rng, n), sample_spd(rng, n), sample_rotation(rng, n))
+            for _ in range(cfg.samples)]
+    kz = [act(k, z) for z, _, k in zxks]
+    zs = [z for z, _, _ in zxks]
+    # psi(k.z, x) against psi(z, k^T.x)
+    lhs = zip(_distances(fs, [x for _, x, _ in zxks], kz), _distances(fs, eye, kz))
+    rhs = zip(_distances(fs, [act(k.T, x) for _, x, k in zxks], zs),
+              _distances(fs, eye, zs))
     equi_defect = 0.0
-    for _ in range(cfg.samples):
-        z = sample_spd(rng, n)
-        x = sample_spd(rng, n)
-        k = sample_rotation(rng, n)
-        lhs = psi(fs, act(k, z), x)
-        rhs = psi(fs, z, act(k.T, x))
-        equi_defect = max(equi_defect, abs(lhs - rhs))
+    for (a, b), (c, d) in zip(lhs, rhs):
+        equi_defect = max(equi_defect, abs((a - b) - (c - d)))
 
     points = [sample_spd(rng, n) for _ in range(cfg.point_samples)]
     movers = ([sample_block_rotation(rng, n, ray_type.indices)
                for _ in range(cfg.group_samples)]
               + [sample_block_unipotent(rng, n, ray_type.indices)
                  for _ in range(cfg.group_samples)])
+    # each point followed by its moved copies, one stack for every time
+    stack = np.array([y for x in points for y in [x] + [act(g, x) for g in movers]])
     rows = []
     for t in _T_SCHEDULE:
-        z = exp_flat(vscale(direction, frac(t)))
+        z = np.broadcast_to(exp_flat(vscale(direction, frac(t))), (len(stack), n, n))
+        dists = _distances(fs, stack, z)
         defect = 0.0
-        for x in points:
-            here = finsler_distance(fs, x, z)
-            for g in movers:
-                defect = max(defect, abs(finsler_distance(fs, act(g, x), z) - here))
+        m = len(movers) + 1
+        for i in range(0, len(dists), m):
+            for there in dists[i + 1:i + m]:
+                defect = max(defect, abs(there - dists[i]))
         rows.append((t, defect))
 
     monotone = all(rows[k + 1][1] <= rows[k][1] + _NOISE_BAND

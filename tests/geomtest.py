@@ -16,17 +16,25 @@ Fraction kernel basis that the subset-scan oracle takes its normals from.
 oracle_flat_gauge, oracle_finsler_gauge and oracle_psi_flat read flat
 vectors through the Fraction chart (centre to trace zero, partial sums)
 and the chart gauge, for the integer gauge rows of flatspace to be checked
-against.
+against.  oracle_cartan_projection checks and projects one pair of
+matrices at a time, and oracle_invariance_suite and
+oracle_flat_limit_consistency measure their reports pair by pair through
+it, for the stacked matrix route of flatspace to be checked against.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, combinations
 
-from horopoly.errors import EmptyInput, InputError
-from horopoly.horoboundary import psi as chart_psi
+import numpy as np
+
+from horopoly import flatspace as fl
+from horopoly.errors import (DimensionMismatch, EmptyInput, InputError,
+                             PreconditionError)
+from horopoly.horoboundary import evaluate, psi as chart_psi
 from horopoly.norm import gauge
 from horopoly.polytope import (
     Halfspace,
@@ -46,8 +54,10 @@ from horopoly._linalg import (
     solve_system,
     span_basis,
     transpose,
+    vadd,
     vdot,
     vec,
+    vscale,
     vsub,
     vzero,
 )
@@ -359,3 +369,135 @@ def oracle_finsler_gauge(fs, H) -> float:
 
 def oracle_psi_flat(fs, Hz, Hx) -> Fraction:
     return chart_psi(fs.norm, oracle_flat_chart(fs, Hz), oracle_flat_chart(fs, Hx))
+
+
+def _oracle_point(matrix) -> tuple:
+    """One point's checks, without the condition guard: (array, cond)."""
+    M = np.asarray(matrix, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError("expected a square matrix")
+    n = M.shape[0]
+    if not 2 <= n <= 4:
+        raise InputError("matrix size must be 2, 3, or 4")
+    if not np.all(np.isfinite(M)):
+        raise InputError("matrix entries must be finite")
+    if float(np.max(np.abs(M - M.T))) > fl._SYMMETRY_TOL:
+        raise InputError("matrix is not symmetric")
+    vals = np.linalg.eigvalsh(M)
+    if float(vals[0]) <= 0.0:
+        raise InputError("matrix is not positive definite")
+    if abs(float(np.prod(vals)) - 1.0) > fl._DET_TOL:
+        raise InputError("matrix determinant must equal 1")
+    return M, float(vals[-1] / vals[0])
+
+
+def oracle_cartan_projection(P, Q) -> tuple:
+    """The relative log spectrum of Q seen from P, one pair of 2-d arrays."""
+    P, cond_p = _oracle_point(P)
+    Q, cond_q = _oracle_point(Q)
+    if P.shape != Q.shape:
+        raise DimensionMismatch("points have different matrix sizes")
+    if max(cond_p, cond_q) > fl._COND_LIMIT:
+        raise PreconditionError("point condition number exceeds 1e12")
+    L = np.linalg.cholesky(P)
+    vals = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, Q).T))
+    logs = np.log(vals)[::-1]
+    logs = logs - logs.mean()
+    return tuple(float(x) for x in logs)
+
+
+def oracle_finsler_distance(fs, P, Q) -> float:
+    return oracle_finsler_gauge(fs, oracle_cartan_projection(P, Q))
+
+
+def oracle_matrix_psi(fs, z, x) -> float:
+    return (oracle_finsler_distance(fs, x, z)
+            - oracle_finsler_distance(fs, np.eye(fs.n), z))
+
+
+def oracle_flat_limit_consistency(fs, start, direction, test_points,
+                                  t_max: float = 1e4, tol: float = 1e-5):
+    """flat_limit_consistency with one matrix pair per normalized distance."""
+    start, direction = vec(start), vec(direction)
+    ray_type = fl.sequence_type_of_ray(fs.root_system, start, direction)
+    pts = [vec(p) for p in test_points]
+    h = fl.flat_limit(fs, start, direction)
+    targets = [evaluate(h, fl.flat_chart(fs, p)) for p in pts]
+    points_conditioned = all(fl._spread(fs, p) < fl._SPREAD_GUARD for p in pts)
+    rows, matrix_reach = [], 0.0
+    for k in range(4, -1, -1):
+        t = t_max * 10.0 ** (-k)
+        Hz = vadd(start, vscale(direction, Fraction(t)))
+        defect = max(abs(float(fl.psi_flat(fs, Hz, p) - targets[j]))
+                     for j, p in enumerate(pts))
+        if points_conditioned and fl._spread(fs, Hz) < fl._SPREAD_GUARD:
+            z = fl.exp_flat(Hz)
+            for j, p in enumerate(pts):
+                defect = max(defect, abs(oracle_matrix_psi(fs, z, fl.exp_flat(p))
+                                         - float(targets[j])))
+            matrix_reach = t
+        rows.append((t, defect))
+    last = rows[-1][1]
+    status = ("converged" if last <= tol
+              else "inconclusive" if last < max(d for _, d in rows[:-1])
+              else "failed")
+    return fl.FlatLimitReport(status=status, defects=tuple(rows), tolerance=tol,
+                              t_max=t_max, ray_type=ray_type,
+                              matrix_route_max_t=matrix_reach)
+
+
+def oracle_invariance_suite(fs, cfg):
+    """invariance_suite drawing and measuring one sample at a time."""
+    n = fs.n
+    direction = (vec(cfg.ray_direction) if cfg.ray_direction is not None
+                 else fl._default_ray_direction(n))
+    ray_type = fl.sequence_type_of_ray(fs.root_system, vzero(n), direction)
+    rng = np.random.default_rng(cfg.seed)
+    eye = np.eye(n)
+    d = partial(oracle_finsler_distance, fs)
+
+    base_defect = 0.0
+    for _ in range(cfg.samples):
+        x = fl.sample_spd(rng, n)
+        k = fl.sample_rotation(rng, n)
+        base_defect = max(base_defect, abs(d(fl.act(k, x), eye) - d(x, eye)))
+
+    equi_defect = 0.0
+    for _ in range(cfg.samples):
+        z = fl.sample_spd(rng, n)
+        x = fl.sample_spd(rng, n)
+        k = fl.sample_rotation(rng, n)
+        lhs = oracle_matrix_psi(fs, fl.act(k, z), x)
+        rhs = oracle_matrix_psi(fs, z, fl.act(k.T, x))
+        equi_defect = max(equi_defect, abs(lhs - rhs))
+
+    points = [fl.sample_spd(rng, n) for _ in range(cfg.point_samples)]
+    movers = ([fl.sample_block_rotation(rng, n, ray_type.indices)
+               for _ in range(cfg.group_samples)]
+              + [fl.sample_block_unipotent(rng, n, ray_type.indices)
+                 for _ in range(cfg.group_samples)])
+    rows = []
+    for t in fl._T_SCHEDULE:
+        z = fl.exp_flat(vscale(direction, Fraction(t)))
+        defect = 0.0
+        for x in points:
+            here = d(x, z)
+            for g in movers:
+                defect = max(defect, abs(d(fl.act(g, x), z) - here))
+        rows.append((t, defect))
+
+    monotone = all(rows[k + 1][1] <= rows[k][1] + fl._NOISE_BAND
+                   for k in range(len(rows) - 1))
+    return fl.InvarianceReport(
+        basepoint_defect=base_defect,
+        equivariance_defect=equi_defect,
+        limit_defects=tuple(rows),
+        basepoint_ok=base_defect <= cfg.invariance_tol,
+        equivariance_ok=equi_defect <= cfg.invariance_tol,
+        limit_ok=rows[-1][1] <= fl._LIMIT_TOL,
+        limit_monotone=monotone,
+        ray_type=ray_type,
+        invariance_tol=cfg.invariance_tol,
+        limit_tol=fl._LIMIT_TOL,
+        noise_band=fl._NOISE_BAND,
+    )

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import horopoly.flatspace as flatspace
-from geomtest import (coords_in_basis, oracle_finsler_gauge, oracle_flat_gauge,
-                      oracle_psi_flat)
+from geomtest import (coords_in_basis, oracle_cartan_projection,
+                      oracle_finsler_gauge, oracle_flat_gauge,
+                      oracle_flat_limit_consistency, oracle_invariance_suite,
+                      oracle_psi_flat, rand_ball)
 from horopoly._linalg import vdot, vec
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
@@ -27,8 +29,9 @@ from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
                                 validate_spd)
 from horopoly.horoboundary import evaluate
 from horopoly.polytope import convex_hull
-from horopoly.rootsys import build, named_weight, point_coords
-from horopoly.satake import satake_ball, weight_hull, weight_spec
+from horopoly.rootsys import (build, named_weight, point_ambient, point_coords,
+                              weyl_point_matrices)
+from horopoly.satake import invariant_under, satake_ball, weight_hull, weight_spec
 
 F = Fraction
 
@@ -52,6 +55,16 @@ def fs3_asym():
 @pytest.fixture(scope="module")
 def fs2():
     return flat_space(2, convex_hull([(-1,), (1,)]))
+
+
+def adjoint_ball(rank):
+    rs = build("A", rank)
+    return satake_ball(weight_hull(weight_spec(rs, [named_weight(rs, "adjoint")])))
+
+
+@pytest.fixture(scope="module")
+def fs4():
+    return flat_space(4, adjoint_ball(3))
 
 
 def rand_spd_pair(rng, n):
@@ -84,6 +97,31 @@ class TestValidation:
             validate_spd(nan)
         with pytest.raises(PreconditionError):
             validate_spd(np.diag(np.exp([15.0, 15.0, -30.0])))
+
+    def test_transposition_check_matches_group(self, skew_hexagon, square_ball):
+        # closure under adjacent transpositions against all n! chart matrices
+        rng = random.Random(25)
+        balls = [adjoint_ball(1), adjoint_ball(2), adjoint_ball(3), skew_hexagon,
+                 square_ball, convex_hull([(-1,), (2,)])]
+        for n in (2, 3, 4):
+            rs = build("A", n - 1)
+            for _ in range(2):
+                lopsided = rand_ball(rng, n - 1, n + 2)
+                v = lopsided.vertices[0]
+                orbit = [point_coords(rs, p) for p in permutations(point_ambient(rs, v))]
+                balls += [lopsided, convex_hull(orbit),
+                          convex_hull(orbit + [tuple(2 * x for x in v)])]
+        verdicts = []
+        for ball in balls:
+            n = ball.ambient_dim + 1
+            try:
+                flat_space(n, ball)
+                invariant = True
+            except PreconditionError:
+                invariant = False
+            assert invariant == invariant_under(ball, weyl_point_matrices(build("A", n - 1)))
+            verdicts.append(invariant)
+        assert verdicts.count(True) == verdicts.count(False) == 12
 
     def test_flat_space_rejections(self, skew_hexagon, square_ball):
         with pytest.raises(InputError):
@@ -239,10 +277,8 @@ class TestIntegerGaugeRows:
     """The flat's integer gauge rows against the Fraction chart route, with ==."""
 
     @pytest.fixture(scope="class")
-    def spaces(self, fs2, fs3, fs3_asym):
-        a3 = build("A", 3)
-        ball = satake_ball(weight_hull(weight_spec(a3, [named_weight(a3, "adjoint")])))
-        return [fs2, fs3, fs3_asym, flat_space(4, ball)]
+    def spaces(self, fs2, fs3, fs3_asym, fs4):
+        return [fs2, fs3, fs3_asym, fs4]
 
     def test_distances_of_random_pairs(self, spaces):
         rng = np.random.default_rng(21)
@@ -272,6 +308,36 @@ class TestIntegerGaugeRows:
                     Hx = [rng.uniform(-3.0, 3.0) for _ in range(fs.n)]
                     assert psi_flat(fs, Hz, Hx) == oracle_psi_flat(fs, Hz, Hx)
                     assert psi_flat(fs, Hx, Hz) == oracle_psi_flat(fs, Hx, Hz)
+
+
+class TestStackedRoute:
+    """The stacked matrix route against one pair of matrices at a time, with ==."""
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 4):
+            P = [sample_spd(rng, n) for _ in range(30)]
+            Q = [sample_spd(rng, n) for _ in range(30)]
+            rows = flatspace._spectra(P, Q).tolist()
+            assert rows == [list(oracle_cartan_projection(p, q)) for p, q in zip(P, Q)]
+            assert all(cartan_projection(p, q) == tuple(row)
+                       for p, q, row in zip(P, Q, rows))
+
+    def test_moved_points_against_ray_points(self):
+        # the invariance suite's stacks: points, their block-rotated and
+        # cross-block unipotent copies and the basepoint, seen from exp_flat
+        # ray points up to t = 1000
+        rng = np.random.default_rng(24)
+        for n, indices in ((2, ()), (3, ()), (3, (0,)), (4, (1,))):
+            xs = [sample_spd(rng, n) for _ in range(4)]
+            movers = [sample_block_rotation(rng, n, indices),
+                      sample_block_unipotent(rng, n, indices)]
+            P = xs + [act(g, x) for x in xs for g in movers] + [np.eye(n)]
+            direction = flatspace._default_ray_direction(n)
+            for t in flatspace._T_SCHEDULE:
+                z = exp_flat(vec(F(t) * x for x in direction))
+                rows = flatspace._spectra(P, np.broadcast_to(z, (len(P), n, n))).tolist()
+                assert rows == [list(oracle_cartan_projection(p, z)) for p in P]
 
 
 class TestSequenceTypes:
@@ -407,6 +473,26 @@ class TestSamplers:
             x = sample_spd(rng, 3)
             validate_spd(act(sample_rotation(rng, 3), x))
             validate_spd(act(sample_block_unipotent(rng, 3, (1,)), x))
+
+
+class TestReportOracle:
+    """Whole reports against their per-pair oracles in geomtest, with ==."""
+
+    CFG = InvarianceConfig(samples=5, point_samples=3, group_samples=2)
+
+    def test_invariance_reports(self, fs3, fs3_asym, fs4):
+        for fs in (fs3, fs3_asym, fs4):
+            assert invariance_suite(fs, self.CFG) == oracle_invariance_suite(fs, self.CFG)
+
+    def test_consistency_reports(self, fs3, fs3_asym, fs4):
+        d = F(1, 1000)
+        rays = [(fs3, (0, 0, 0), (d, 0, -d), GRID25[::3]),
+                (fs3_asym, (1, 0, -1), (d, d, -2 * d), GRID25[::3]),
+                (fs4, (0, 0, 0, 0), (3 * d, d, -d, -3 * d),
+                 [(1, 0, 0, -1), (0, 1, -1, 0), (1, -1, 1, -1), (2, 0, -1, -1)])]
+        for fs, start, direction, grid in rays:
+            assert (flat_limit_consistency(fs, start, direction, grid)
+                    == oracle_flat_limit_consistency(fs, start, direction, grid))
 
 
 class TestReports:
