@@ -3,17 +3,14 @@
 Small dense routines backing the polytope and root-system machinery.  The
 vector and elimination routines operate on tuples of Fraction.  The
 polytope kernel works on integers instead: homogeneous writes a rational
-point as one integer vector, extend_minors and normal_map give the
-hyperplane through such vectors from their minors, and pivot_columns
-eliminates without fractions.  Nothing here touches floats.
+point as one integer vector, and pivot_columns and adjugate eliminate
+without fractions.  Nothing here touches floats.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from math import gcd, isfinite, lcm
 
 ZERO = Fraction(0)
@@ -180,47 +177,6 @@ def homogeneous(point) -> tuple:
     return tuple(x.numerator * (w // x.denominator) for x in point) + (w,)
 
 
-@lru_cache(maxsize=None)
-def _expansion(ncols: int, k: int) -> tuple:
-    """Per (k+1)-subset of the columns, in combinations order, the terms
-    (column, sign, position of a k-subset) of its minor expanded along the
-    last row."""
-    position = {s: i for i, s in enumerate(combinations(range(ncols), k))}
-    return tuple(
-        tuple((c, (-1) ** (k + p), position[t[:p] + t[p + 1:]])
-              for p, c in enumerate(t))
-        for t in combinations(range(ncols), k + 1))
-
-
-def extend_minors(minors, k: int, row) -> tuple:
-    """Maximal minors of k integer rows with row appended below them.
-
-    minors lists the k x k minors of the k rows over the k-subsets of the
-    columns in combinations order: (1,) for no rows, a row for one row.
-    """
-    return tuple(sum(s * row[c] * minors[i] for c, s, i in terms)
-                 for terms in _expansion(len(row), k))
-
-
-def normal_map(minors, ncols: int) -> list:
-    """The matrix N that takes a last row v to the normal n of m rows of
-    length ncols = m + 1: <n|x> = det(rows; x) for every x.
-
-    minors lists the maximal minors of the first m - 1 rows, as in
-    extend_minors.  The normal is zero exactly when the m rows are
-    dependent, and otherwise spans their orthogonal complement.
-    """
-    m = ncols - 1
-    N = [[0] * ncols for _ in range(ncols)]
-    # the m-subset at position i leaves out column m - i
-    for i, terms in enumerate(_expansion(ncols, m - 1)):
-        c = m - i
-        sign = 1 if (m + c) % 2 == 0 else -1
-        for col, s, idx in terms:
-            N[c][col] = sign * s * minors[idx]
-    return N
-
-
 def pivot_columns(rows) -> list:
     """Pivot columns of integer rows, by fraction-free (Bareiss) elimination.
 
@@ -247,3 +203,29 @@ def pivot_columns(rows) -> list:
         if len(pivots) == len(m):
             break
     return pivots
+
+
+def adjugate(rows) -> tuple:
+    """Rows of the adjugate of a nonsingular square integer matrix, and its
+    determinant: adj(A) A = A adj(A) = det(A) I.
+
+    Fraction-free (Bareiss) Gauss-Jordan on (A | I): every entry after a
+    step is a minor of (A | I), so each division by the previous pivot is
+    exact, and the right half ends as det(A) A^-1 up to the row swaps' sign.
+    """
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = previous = 1
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c])
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        top = m[c]
+        pivot = top[c]
+        for i in range(n):
+            if i != c:
+                a = m[i][c]
+                m[i] = [(pivot * x - a * y) // previous for x, y in zip(m[i], top)]
+        previous = pivot
+    return [[sign * x for x in r[n:]] for r in m], sign * previous

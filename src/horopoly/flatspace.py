@@ -55,8 +55,11 @@ _SPREAD_GUARD = math.log(_COND_LIMIT / 10.0)  # log spread a decade inside
 
 
 def _points(stack) -> tuple:
-    """validate_spd on a (k, n, n) stack, without the condition guard.
+    """Check a (k, n, n) stack of points of the space, except conditioning.
 
+    Accepts anything numpy can coerce to such a stack; enforces size 2..4
+    and symmetry to 1e-12, then reads off one eigvalsh a positive spectrum
+    and a determinant (the eigenvalue product) within 1e-9 of one.
     Returns the stack as a float array and the per-point condition numbers.
     """
     M = np.asarray(stack, dtype=float)
@@ -74,21 +77,6 @@ def _points(stack) -> tuple:
     if float(np.max(np.abs(np.prod(vals, axis=-1) - 1.0))) > _DET_TOL:
         raise InputError("matrix determinant must equal 1")
     return M, vals[:, -1] / vals[:, 0]
-
-
-def validate_spd(matrix) -> np.ndarray:
-    """Check a point of the space and return it as a float array.
-
-    Accepts anything numpy can coerce to a square matrix; enforces size
-    2..4 and symmetry to 1e-12, then reads off one eigvalsh a positive
-    spectrum, a determinant (the eigenvalue product) within 1e-9 of one,
-    and a condition number at most 1e12, which alone raises
-    PreconditionError.
-    """
-    M, cond = _points([matrix])
-    if cond[0] > _COND_LIMIT:
-        raise PreconditionError("point condition number exceeds 1e12")
-    return M[0]
 
 
 @dataclass(frozen=True)
@@ -237,11 +225,6 @@ def finsler_distance(fs: FlatSpace, P, Q) -> float:
     only floating error is the one already in the spectrum.
     """
     return _spectrum_distance(fs, cartan_projection(P, Q))
-
-
-def psi(fs: FlatSpace, z, x) -> float:
-    """Distance to z, normalized to vanish at the identity basepoint."""
-    return finsler_distance(fs, x, z) - finsler_distance(fs, basepoint(fs), z)
 
 
 def psi_flat(fs: FlatSpace, Hz, Hx) -> Fraction:

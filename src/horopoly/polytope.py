@@ -11,36 +11,39 @@ duality works in:
 A polytope computes its facet-vertex incidence, its face lattice and its
 polar once, on first use, and keeps them on the instance; every face
 query (face_of, face_lattice, Face.support, dual_face) reads that one
-incidence.
+incidence.  convex_hull and polar set it as they build the polytope.
 
-Designed for low dimensions (<= 4) and modest vertex counts.  Vertices
-and facets are Fraction tuples, but the kernel computes on integers: each
-point x becomes its own homogeneous integer vector (x*w, w), w the lcm of
-its denominators.  Facets come from a scan over all m-point subsets in
-R^m.  A subset's normal is the vector of signed maximal minors of its m
-homogeneous rows, zero exactly when the points are affinely dependent,
-and the minors are shared by every subset with the same first m - 1
-points.  The normal is kept when every point lies on one side, which is
-the sign of one integer dot product.  The scan records which points each
-facet holds, and a point is a vertex exactly when the facets through it
-meet in that point alone.  Incidence and face dimensions are integer
-tests and ranks on the same homogeneous vectors.  Every step is exact.
+Vertices and facets are Fraction tuples, but the kernel computes on
+integers: each point x becomes its own homogeneous integer vector
+(x*w, w), w the lcm of its denominators.  The facets of the hull are the
+extreme rays of the cone {a : <a|(x*w, w)> >= 0 for every point}, found
+by double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+and Prodon 1996): start from the cone of m + 1 independent rows, whose
+rays are the columns of their integer adjugate, and cut it by the other
+rows one at a time, joining adjacent rays across each.  Each ray carries
+the bitmask of the points on it, so signs decide every step without an
+epsilon, coplanar points fall on one facet, and the final masks are the
+facet-vertex incidence.  A point is a vertex exactly when the facets
+through it meet in that point alone.  The cost follows the output, not
+the C(n, m) point subsets.  Plane hulls take the monotone chain.  Face
+dimensions are fraction-free ranks on the homogeneous vectors.  Every
+step is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from math import gcd
+from operator import and_, mul
 
 from ._linalg import (
     ONE,
-    extend_minors,
+    adjugate,
     frac,
     homogeneous,
     is_zero_vec,
-    normal_map,
     pivot_columns,
     primitive,
     vdot,
@@ -176,7 +179,14 @@ class Polytope:
         m = self.ambient_dim
         verts = tuple(sorted(h.functional for h in self.facets))
         facets = tuple(sorted(Halfspace(v, Fraction(-1)) for v in self.vertices))
-        return Polytope(verts, facets, m, m)
+        Q = Polytope(verts, facets, m, m)
+        # facet i of Q is vertex i of P and vertex j of Q facet j of P
+        columns = [[] for _ in self.vertices]
+        for j, s in enumerate(self.incidence):
+            for i in s:
+                columns[i].append(j)
+        Q.__dict__["incidence"] = tuple(map(frozenset, columns))
+        return Q
 
 
 @dataclass(frozen=True)
@@ -248,58 +258,70 @@ def _hull_2d(pts):
     return boundary, facets
 
 
-def _hull_full(pts, hom):
-    """Facets and vertices of a full-dimensional hull via subset enumeration.
+def _extreme_rays(hom) -> list:
+    """Extreme rays of the cone {a : <a|h> >= 0 for every row h}, by double
+    description; the integer rows span their space, so the cone is pointed.
 
-    hom holds the homogeneous integer vector of each point.
+    Each ray is a primitive integer vector with the bitmask of the rows it
+    is orthogonal to.  The start cone is cut out by the first independent
+    rows, and its rays are the columns of their adjugate.  Each further
+    row keeps the rays on its side and joins each adjacent pair across it:
+    a pair is adjacent when both are orthogonal to at least d - 2 common
+    rows and no third ray is orthogonal to all of those.
+    """
+    n, d = len(hom), len(hom[0])
+    start = pivot_columns(list(zip(*hom)))
+    adj, det = adjugate([hom[i] for i in start])
+    sign = 1 if det > 0 else -1
+    rays = []
+    for j, col in enumerate(zip(*adj)):
+        g = sign * gcd(*col)
+        rays.append((tuple(x // g for x in col),
+                     sum(1 << i for k, i in enumerate(start) if k != j)))
+    for i in sorted(set(range(n)).difference(start)):
+        row, bit = hom[i], 1 << i
+        kept, plus, minus = [], [], []
+        for ray, zeros in rays:
+            s = sum(map(mul, ray, row))
+            if s > 0:
+                kept.append((ray, zeros))
+                plus.append((ray, zeros, s))
+            elif s < 0:
+                minus.append((ray, zeros, s))
+            else:
+                kept.append((ray, zeros | bit))
+        masks = [zeros for _, zeros in rays]
+        for p, zp, sp in plus:
+            for q, zq, sq in minus:
+                common = zp & zq
+                if common.bit_count() < d - 2 or any(
+                        z & common == common and z != zp and z != zq for z in masks):
+                    continue
+                ray = [sp * y - sq * x for x, y in zip(p, q)]
+                g = gcd(*ray)
+                kept.append((tuple(x // g for x in ray), common | bit))
+        rays = kept
+    return rays
+
+
+def _hull_full(pts, hom) -> Polytope:
+    """The full-dimensional hull of distinct sorted points, with its
+    incidence read off the facets' zero sets.
+
+    hom holds the homogeneous integer vector of each point.  A facet
+    <a[:-1]|x> >= -a[-1] is an extreme ray a of {a : <a|(x*w, w)> >= 0}.
     """
     m = len(pts[0])
-    if m == 2:
-        return _hull_2d(pts)
-
-    n = len(pts)
-    # scan from both ends of the sorted list inwards: the extreme points
-    # tend to lie on both sides of a candidate that is no facet, which ends
-    # its scan early (on a line, after two points)
-    order = sorted(range(n), key=lambda i: min(i, n - 1 - i))
-    facets = {}  # indices of the points on a facet -> its inward normal
-
-    def scan(prefix, minors):
-        k = len(prefix)
-        start = prefix[-1] + 1 if prefix else 0
-        if k < m - 1:
-            for j in range(start, n - (m - 1 - k)):
-                rows = extend_minors(minors, k, hom[j])
-                if any(rows):  # dependent rows stay dependent below
-                    scan(prefix + (j,), rows)
-            return
-        N = normal_map(minors, m + 1)
-        for j in range(start, n):
-            normal = [sum(map(mul, r, hom[j])) for r in N]
-            if not any(normal):
-                continue
-            above = below = False
-            on = []
-            for i in order:
-                s = sum(map(mul, normal, hom[i]))
-                if s > 0:
-                    above = True
-                elif s < 0:
-                    below = True
-                else:
-                    on.append(i)
-                if above and below:
-                    break
-            if above and below:
-                continue
-            facets[frozenset(on)] = normal if above else [-x for x in normal]
-
-    scan((), (1,))  # the one minor of no rows
-    everything = frozenset(range(n))
-    verts = [p for i, p in enumerate(pts)
-             if everything.intersection(*(s for s in facets if i in s)) == {i}]
-    # <normal|(x*w, w)> >= 0 is <normal[:-1]|x> >= -normal[-1]
-    return verts, [Halfspace.normalized(v[:-1], -v[-1]) for v in facets.values()]
+    rays = _extreme_rays(hom)
+    everything = (1 << len(pts)) - 1
+    # a point is a vertex when the facets through it meet in it alone
+    verts = [i for i in range(len(pts))
+             if reduce(and_, (z for _, z in rays if z >> i & 1), everything) == 1 << i]
+    facets = sorted((Halfspace.normalized(a[:-1], -a[-1]), z) for a, z in rays)
+    P = Polytope(tuple(pts[i] for i in verts), tuple(h for h, _ in facets), m, m)
+    P.__dict__["incidence"] = tuple(
+        frozenset(k for k, i in enumerate(verts) if z >> i & 1) for _, z in facets)
+    return P
 
 
 def convex_hull(points) -> Polytope:
@@ -311,8 +333,10 @@ def convex_hull(points) -> Polytope:
     pivots = pivot_columns([h[-1:] + h[:-1] for h in hom])
     d = len(pivots) - 1
     if d == m:
-        verts, facets = _hull_full(pts, hom)
-        return Polytope(tuple(sorted(verts)), tuple(sorted(facets)), m, m)
+        if m == 2:
+            verts, facets = _hull_2d(pts)
+            return Polytope(tuple(sorted(verts)), tuple(sorted(facets)), m, m)
+        return _hull_full(pts, hom)
     if d == 0:
         return Polytope((pts[0],), (), m, 0)
     # lower-dimensional: hull those coordinates

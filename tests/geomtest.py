@@ -1,9 +1,9 @@
 """Shared helpers for the geometry test suite.
 
 Random rational data is produced from seeded random.Random instances so
-every run sees the same cases.  oracle_hull is a second subset-scan hull
-for convex_hull to be checked against: it takes an affine span and then a
-nullspace per candidate, and finds vertices by a rank test on the facet
+every run sees the same cases.  oracle_hull is a subset-scan hull for
+the double-description convex_hull to be checked against: it takes an
+affine span and then a nullspace per m-point candidate, and finds vertices by a rank test on the facet
 normals through each point.  oracle_vertex_enumeration goes the other
 way, from halfspaces to vertices, for polar duals to be checked against.
 matrix_orbit and wall_signature are the Fraction matrix and barycenter
@@ -20,6 +20,8 @@ against.  oracle_cartan_projection checks and projects one pair of
 matrices at a time, and oracle_invariance_suite and
 oracle_flat_limit_consistency measure their reports pair by pair through
 it, for the stacked matrix route of flatspace to be checked against.
+validate_spd and psi, the one-point check and the matrix normalized
+distance, back no verb and live here on flatspace's stacked route.
 """
 
 from __future__ import annotations
@@ -348,6 +350,21 @@ def oracle_same_compactification(spec1, spec2) -> bool:
         return False
 
     return search()
+
+
+def validate_spd(matrix) -> np.ndarray:
+    """Check one point of the space and return it as a float array: the
+    checks of a flatspace stack, then a condition number at most 1e12,
+    which alone raises PreconditionError."""
+    M, cond = fl._points([matrix])
+    if cond[0] > fl._COND_LIMIT:
+        raise PreconditionError("point condition number exceeds 1e12")
+    return M[0]
+
+
+def psi(fs, z, x) -> float:
+    """Distance to z, normalized to vanish at the identity basepoint."""
+    return fl.finsler_distance(fs, x, z) - fl.finsler_distance(fs, fl.basepoint(fs), z)
 
 
 def oracle_flat_chart(fs, H) -> tuple:

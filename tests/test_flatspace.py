@@ -15,7 +15,7 @@ import horopoly.flatspace as flatspace
 from geomtest import (coords_in_basis, oracle_cartan_projection,
                       oracle_finsler_gauge, oracle_flat_gauge,
                       oracle_flat_limit_consistency, oracle_invariance_suite,
-                      oracle_psi_flat, rand_ball)
+                      oracle_psi_flat, psi, rand_ball, validate_spd)
 from horopoly._linalg import vdot, vec
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
@@ -23,10 +23,9 @@ from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
                                 finsler_distance, flat_chart, flat_gauge,
                                 flat_limit, flat_limit_consistency, flat_space,
                                 invariance_report_to_json, invariance_suite,
-                                psi, psi_flat, sample_block_rotation,
+                                psi_flat, sample_block_rotation,
                                 sample_block_unipotent, sample_rotation,
-                                sample_spd, sequence_type_of_ray,
-                                validate_spd)
+                                sample_spd, sequence_type_of_ray)
 from horopoly.horoboundary import evaluate
 from horopoly.polytope import convex_hull
 from horopoly.rootsys import (build, named_weight, point_ambient, point_coords,

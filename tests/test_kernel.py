@@ -1,10 +1,12 @@
 """The integer kernel under the polytope layer, against Fraction oracles.
 
-The helpers in horopoly._linalg are checked against rref and nullspace;
+The helpers in horopoly._linalg are checked against rref and Leibniz
+determinants;
 convex_hull, incidence and face dimensions against the subset-scan
 oracle of geomtest and Fraction affine spans.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import lcm, prod
@@ -12,9 +14,9 @@ from math import lcm, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import affine_span, nullspace, on_facet, oracle_hull, rank
-from horopoly._linalg import (extend_minors, homogeneous, normal_map,
-                              pivot_columns, rref, vadd, vscale)
+from geomtest import affine_span, on_facet, oracle_hull, rank
+from horopoly._linalg import (adjugate, homogeneous, pivot_columns, rref,
+                              vadd, vscale)
 from horopoly.polytope import convex_hull, face_lattice
 from horopoly.rootsys import (build, named_weight, weight_coords, weyl_group,
                               weyl_orbit)
@@ -30,15 +32,6 @@ def det(rows) -> int:
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
     return total
-
-
-def normal_of(rows) -> tuple:
-    """The minor normal of m rows of length m + 1."""
-    minors = (1,)
-    for k, row in enumerate(rows[:-1]):
-        minors = extend_minors(minors, k, row)
-    return tuple(sum(a * x for a, x in zip(r, rows[-1]))
-                 for r in normal_map(minors, len(rows[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -84,36 +77,32 @@ def test_pivot_columns_on_singular_matrices():
 
 
 @st.composite
-def normal_rows(draw):
-    """m integer rows of length m + 1, m from 1 to 4."""
-    m = draw(st.integers(1, 4))
-    rows = []
-    for _ in range(m):
-        if rows and draw(st.integers(0, 3)) == 0:
-            a = draw(st.sampled_from(rows))
-            rows.append(tuple(draw(st.integers(-3, 3)) * x for x in a))
-        else:
-            rows.append(tuple(draw(entries) for _ in range(m + 1)))
-    return rows
+def square_matrices(draw):
+    """Square integer rows, n from 1 to 5, with small and huge entries:
+    zero leading entries force row swaps, and some are singular."""
+    n = draw(st.integers(1, 5))
+    return [tuple(draw(entries) for _ in range(n)) for _ in range(n)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(normal_rows(), st.data())
-def test_normal_map_spans_the_nullspace(rows, data):
-    normal = normal_of(rows)
-    kernel = nullspace(rows)
-    assert any(normal) == (len(kernel) == 1)
-    if any(normal):
-        assert rank([normal, kernel[0]]) == 1
-    v = tuple(data.draw(entries) for _ in range(len(rows) + 1))
-    assert sum(n * x for n, x in zip(normal, v)) == det(rows + [v])
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_adjugate_inverts_up_to_the_determinant(rows):
+    n = len(rows)
+    D = det(rows)
+    if not D:
+        return
+    adj, d = adjugate(rows)
+    assert d == D
+    for i in range(n):
+        for j in range(n):
+            assert sum(adj[i][k] * rows[k][j] for k in range(n)) == D * (i == j)
 
 
-def test_normal_of_dependent_rows_is_zero():
-    assert normal_of([(1, 2, 3), (2, 4, 6)]) == (0, 0, 0)
-    assert normal_of([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]) == (0, 0, 0, 0)
-    assert normal_of([(1, 0)]) == (0, 1)
-    assert normal_of([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]) == (0, 0, 0, 1)
+def test_adjugate_with_row_swaps():
+    assert adjugate([(0, 1), (1, 0)]) == ([[0, -1], [-1, 0]], -1)
+    assert adjugate([(0, 0, 2), (0, 3, 0), (5, 0, 0)]) == (
+        [[0, 0, -6], [0, -10, 0], [-15, 0, 0]], -30)
+    assert adjugate([(7,)]) == ([[1]], 7)
 
 
 def test_homogeneous_uses_each_points_own_denominators():
@@ -188,6 +177,40 @@ def test_hull_incidence_and_face_dims_match_fraction_oracle(points):
         for h in P.facets)
     for face in face_lattice(P):
         assert face.dim == len(affine_span(face.vertices)[1])
+
+
+def orbit_union(fam, r, *weights):
+    """The union of the Weyl orbits of the given weights, each a sum of
+    fundamental weights named by their indices, in weight coordinates."""
+    rs = build(fam, r)
+    group = weyl_group(rs)
+    pts = []
+    for ks in weights:
+        chi = named_weight(rs, f"fundamental:{ks[0]}")
+        for k in ks[1:]:
+            chi = vadd(chi, named_weight(rs, f"fundamental:{k}"))
+        pts += [weight_coords(rs, p) for p in weyl_orbit(group, chi)]
+    return pts
+
+
+def half_integer_grid(rng, dim, count):
+    """count draws from the grid {-1, -1/2, 0, 1/2, 1}^dim: many coplanar
+    points, points inside facets and duplicates."""
+    return [tuple(F(rng.randint(-2, 2), 2) for _ in range(dim)) for _ in range(count)]
+
+
+def test_hull_matches_oracle_on_orbits_unions_and_dense_grids():
+    rng = random.Random(16)
+    cases = [orbit_union("A", 3, (1, 2, 3)),  # regular: truncated octahedron
+             *(orbit_union("B", 3, (k,)) for k in (1, 2, 3)),
+             orbit_union("C", 3, (1,), (3,)),  # two orbits, some points inside
+             half_integer_grid(rng, 3, 18), half_integer_grid(rng, 4, 12)]
+    for points in cases:
+        P = convex_hull(points)
+        assert P == oracle_hull(points)
+        assert P.incidence == tuple(
+            frozenset(i for i, v in enumerate(P.vertices) if on_facet(h, v))
+            for h in P.facets)
 
 
 @settings(max_examples=40, deadline=None)

@@ -447,6 +447,25 @@ def test_polar_involution_property(P):
     assert len(Q.facets) == len(P.vertices)
 
 
+def _rebuilt(P):
+    return Polytope(P.vertices, P.facets, P.ambient_dim, P.affine_dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_balls())
+def test_polar_incidence_is_the_transpose(P):
+    # the polar's incidence is seeded from P's, its polar's from its own
+    Q = polar_dual(P)
+    for R in (P, Q, polar_dual(Q)):
+        assert R.incidence == _rebuilt(R).incidence
+
+
+def test_polar_incidence_is_the_transpose_in_dim_4():
+    P = rand_ball(random.Random(43), 4, 9)
+    Q = polar_dual(P)
+    assert Q.incidence == _rebuilt(Q).incidence
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_balls())
 def test_face_counts_are_polar_reversed(P):

@@ -89,6 +89,18 @@ def test_a3_adjoint_hull_counts():
     assert f_vector(hull) == (12, 24, 14, 1)
 
 
+@pytest.mark.parametrize("fam, rank, name, fv", [
+    ("B", 4, "adjoint", (24, 96, 96, 24)),  # the 24-cell, as for D4
+    ("D", 4, "adjoint", (24, 96, 96, 24)),
+    ("C", 4, "fundamental:3", (32, 96, 88, 24)),
+    ("A", 5, "adjoint", (30, 120, 210, 180, 62)),
+])
+def test_rank_four_and_five_hull_f_vectors(fam, rank, name, fv):
+    # a few hundredths of a second each by double description; a scan of
+    # all m-point subsets of the orbit takes over a second on A5 alone
+    assert f_vector(weight_hull(spec_of(build(fam, rank), name)))[:-1] == fv
+
+
 def test_scale_dilates_hull():
     h1 = weight_hull(spec_of(A2, "adjoint"))
     h2 = weight_hull(spec_of(A2, "adjoint", scale=2))
