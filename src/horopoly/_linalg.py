@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals and the integers.
 
 Small dense routines backing the polytope and root-system machinery.  The
-vector and elimination routines operate on tuples of Fraction.  The
-polytope kernel works on integers instead: homogeneous writes a rational
-point as one integer vector, and pivot_columns and adjugate eliminate
-without fractions.  Nothing here touches floats.
+vector routines operate on tuples of Fraction.  Elimination is
+fraction-free and on integers only: homogeneous writes a rational point
+as one integer vector, pivot_columns and adjugate eliminate without
+fractions (Bareiss), and span_coefficients and project_onto_span solve
+Gram systems through the adjugate.  Nothing here touches floats.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isfinite, lcm
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -79,82 +81,24 @@ def is_zero_vec(a) -> bool:
     return all(x == 0 for x in a)
 
 
-def transpose(M):
-    return tuple(zip(*M, strict=True))
-
-
 def mat_vec(M, v):
     return tuple(vdot(row, v) for row in M)
 
 
-def rref(rows):
-    """Reduced row echelon form of a list of equal-length rows.
-
-    Returns (echelon_rows, pivot_columns).  Zero rows are dropped.
-    """
-    m = [list(vec(r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
-
-
-def solve_system(A, b):
-    """Some solution of A x = b (free variables set to zero), or None.
-
-    For a nonsingular square A this is the unique solution.
-    """
-    if not A:
-        return None
-    ncols = len(A[0])
-    aug = [list(vec(row)) + [frac(bi)] for row, bi in zip(A, b, strict=True)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for row, c in zip(rows, pivots):
-        x[c] = row[-1]
-    return tuple(x)
-
-
-def span_basis(vectors):
-    """Basis of the linear span of the given vectors (echelon form rows)."""
-    vectors = [v for v in vectors if not is_zero_vec(v)]
-    if not vectors:
-        return []
-    rows, _ = rref(vectors)
-    return [tuple(r) for r in rows]
-
-
 def project_onto_span(vectors, v):
-    """Orthogonal projection of v onto span(vectors), standard inner product."""
-    basis = span_basis(vectors)
-    if not basis:
-        return vzero(len(v))
-    gram = [[vdot(bi, bj) for bj in basis] for bi in basis]
-    rhs = [vdot(bi, v) for bi in basis]
-    coeffs = solve_system(gram, rhs)
-    out = vzero(len(v))
-    for c, bi in zip(coeffs, basis):
-        out = vadd(out, vscale(bi, c))
-    return out
+    """Orthogonal projection of v onto span(vectors), standard inner product.
+
+    Each vector is scaled to integers, the first independent ones span,
+    and span_coefficients solves their Gram system on integers; the one
+    division is the Fraction built for each coordinate.
+    """
+    rows = [homogeneous(u)[:-1] for u in vectors]
+    basis = [rows[i] for i in pivot_columns(list(zip(*rows)))]
+    x = homogeneous(v)
+    c, det = span_coefficients(basis, x[:-1])
+    den = det * x[-1]
+    return tuple(Fraction(sum(ci * b[k] for ci, b in zip(c, basis)), den)
+                 for k in range(len(v)))
 
 
 def primitive(vector):
@@ -229,3 +173,17 @@ def adjugate(rows) -> tuple:
                 m[i] = [(pivot * x - a * y) // previous for x, y in zip(m[i], top)]
         previous = pivot
     return [[sign * x for x in r[n:]] for r in m], sign * previous
+
+
+def span_coefficients(basis, x) -> tuple:
+    """Integers c and det > 0 with sum(c_i * basis_i) = det * proj(x), proj
+    the orthogonal projection onto the span of the independent integer rows
+    basis, for an integer vector x.
+
+    det is the Gram determinant of basis and c = adj(G) (basis x), since
+    proj(x) = basis^T G^-1 basis x; nothing is divided.
+    """
+    gram = [[sum(map(mul, a, b)) for b in basis] for a in basis]
+    adj, det = adjugate(gram)
+    rhs = [sum(map(mul, a, x)) for a in basis]
+    return [sum(map(mul, row, rhs)) for row in adj], det

@@ -32,7 +32,6 @@ from ._linalg import (
     frac,
     is_zero_vec,
     project_onto_span,
-    span_basis,
     vadd,
     vdot,
     vec,
@@ -89,9 +88,8 @@ def make_horofunction(norm: PolyhedralNorm, E: Face, p) -> Horofunction:
     p = vec(p)
     if len(p) != norm.dim:
         raise InputError("basepoint dimension does not match the space")
-    span = span_basis(dual_face(norm.dual_ball, E).vertices)
-    canonical = vsub(p, project_onto_span(span, p))
-    return Horofunction(norm, E, canonical)
+    span = dual_face(norm.dual_ball, E).vertices
+    return Horofunction(norm, E, vsub(p, project_onto_span(span, p)))
 
 
 def evaluate(h: Horofunction, y) -> Fraction:

@@ -45,6 +45,8 @@ def render_svg(P: Polytope, wall_rays=(), labels: bool = False, points=()) -> st
         raise InputError("SVG rendering needs a 2-dimensional polytope")
     if not P.vertices:
         raise InputError("nothing to render")
+    if any(len(p) != 2 for p in points):
+        raise InputError("marked points must be 2-dimensional")
     cycle = _boundary_cycle(P)
     xs = [float(v[0]) for v in P.vertices] + [float(p[0]) for p in points] + [0.0]
     ys = [float(v[1]) for v in P.vertices] + [float(p[1]) for p in points] + [0.0]
@@ -130,10 +132,9 @@ def render_off(P: Polytope) -> str:
     """
     if P.ambient_dim != 3:
         raise InputError("OFF rendering needs a 3-dimensional polytope")
-    fv = f_vector(P)
-    if len(fv) != 4:
+    if not P.is_full_dimensional:
         raise InputError("OFF rendering needs a full-dimensional solid")
-    nv, ne, nf = fv[0], fv[1], fv[2]
+    nv, ne, nf = f_vector(P)[:3]
     lines = ["OFF", "%d %d %d" % (nv, nf, ne)]
     for v in P.vertices:
         lines.append(" ".join(_fmt(c) for c in v))

@@ -31,8 +31,7 @@ from ._linalg import (
     ZERO,
     homogeneous,
     mat_vec,
-    solve_system,
-    transpose,
+    span_coefficients,
     vdot,
     vec,
     vscale,
@@ -139,18 +138,16 @@ def _build(label: str, r: int) -> RootSystem:
         else:
             simple.append(tuple(a + b for a, b in
                                 zip(_unit(n, r - 2), _unit(n, r - 1))))
-    rs = RootSystem(label, r, n, tuple(simple), tuple(positive))
-    for root in rs.positive_roots:
-        combo = _simple_root_combination(rs, root)
-        if combo is None or any(c < 0 or c.denominator != 1 for c in combo):
+    rows = [homogeneous(a)[:-1] for a in simple]
+    for root in positive:
+        # root = sum((c_i / det) * simple_i), each c_i / det a natural number
+        c, det = span_coefficients(rows, homogeneous(root)[:-1])
+        if (any(x < 0 or x % det for x in c)
+                or [sum(x * a[k] for x, a in zip(c, simple)) for k in range(n)]
+                != [det * y for y in root]):
             raise AssertionError("positive root outside the nonnegative "
                                  "integer cone of the simple roots")
-    return rs
-
-
-def _simple_root_combination(rs: RootSystem, v):
-    """Coefficients expressing v over the simple roots, or None."""
-    return solve_system(transpose(rs.simple_roots), vec(v))
+    return RootSystem(label, r, n, tuple(simple), tuple(positive))
 
 
 def _reflection(root) -> tuple:

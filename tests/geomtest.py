@@ -22,6 +22,10 @@ oracle_flat_limit_consistency measure their reports pair by pair through
 it, for the stacked matrix route of flatspace to be checked against.
 validate_spd and psi, the one-point check and the matrix normalized
 distance, back no verb and live here on flatspace's stacked route.
+rref, solve_system and span_basis are the Fraction Gauss-Jordan
+elimination that the oracles above rest on, and oracle_project_onto_span
+projects through it, for the integer Gram solve of
+_linalg.project_onto_span and span_coefficients to be checked against.
 """
 
 from __future__ import annotations
@@ -50,12 +54,9 @@ from horopoly.satake import _ambient_integers, _root_pairings, _wall_signature
 from horopoly._linalg import (
     ONE,
     ZERO,
+    frac,
     is_zero_vec,
     mat_vec,
-    rref,
-    solve_system,
-    span_basis,
-    transpose,
     vadd,
     vdot,
     vec,
@@ -63,6 +64,84 @@ from horopoly._linalg import (
     vsub,
     vzero,
 )
+
+
+# ---------------------------------------------------------------------------
+# Fraction elimination
+
+
+def transpose(M):
+    return tuple(zip(*M, strict=True))
+
+
+def rref(rows):
+    """Reduced row echelon form of a list of equal-length rows.
+
+    Returns (echelon_rows, pivot_columns).  Zero rows are dropped.
+    """
+    m = [list(vec(r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def solve_system(A, b):
+    """Some solution of A x = b (free variables set to zero), or None.
+
+    For a nonsingular square A this is the unique solution.
+    """
+    if not A:
+        return None
+    ncols = len(A[0])
+    aug = [list(vec(row)) + [frac(bi)] for row, bi in zip(A, b, strict=True)]
+    rows, pivots = rref(aug)
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
+    return tuple(x)
+
+
+def span_basis(vectors):
+    """Basis of the linear span of the given vectors (echelon form rows)."""
+    vectors = [v for v in vectors if not is_zero_vec(v)]
+    if not vectors:
+        return []
+    rows, _ = rref(vectors)
+    return [tuple(r) for r in rows]
+
+
+def oracle_project_onto_span(vectors, v):
+    """Orthogonal projection of v onto span(vectors), standard inner product."""
+    basis = span_basis(vectors)
+    if not basis:
+        return vzero(len(v))
+    gram = [[vdot(bi, bj) for bj in basis] for bi in basis]
+    rhs = [vdot(bi, v) for bi in basis]
+    coeffs = solve_system(gram, rhs)
+    out = vzero(len(v))
+    for c, bi in zip(coeffs, basis):
+        out = vadd(out, vscale(bi, c))
+    return out
 
 
 def rand_fraction(rng: random.Random, num: int = 12, den: int = 6) -> Fraction:

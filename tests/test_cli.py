@@ -269,10 +269,17 @@ class TestRenderVerb:
         assert "format: off" in table
         assert out.read_text().splitlines()[1] == "8 6 12"
 
-    def test_off_rejects_flat_input(self, tmp_path, capsys, hexagon_file):
-        src = hull_out(tmp_path, capsys, hexagon_file)
-        code, _, _ = run(capsys, "render", src, "--format", "off")
+    @pytest.mark.parametrize("points", [
+        [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1]],
+        [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+    ], ids=["hexagon", "square_in_3d"])
+    def test_off_rejects_flat_input(self, tmp_path, capsys, points):
+        pts = tmp_path / "points.json"
+        pts.write_text(json.dumps(points))
+        src = hull_out(tmp_path, capsys, str(pts))
+        code, _, err = run(capsys, "render", src, "--format", "off")
         assert code == 2
+        assert "error:" in err
 
     def test_overlays_rejected_for_off(self, tmp_path, capsys, hexagon_file):
         src = hull_out(tmp_path, capsys, hexagon_file)
@@ -521,3 +528,90 @@ class TestFlatTest:
         code, _, err = run(capsys, "flat-test", "--n", "3", "--ball", ball)
         assert code == 3
         assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed-input corpus: every verb, refused with exit 2 or 3, never a
+# traceback
+
+CORPUS_FILES = {
+    "ragged": [["1", "0"], ["0"]],
+    "empty": [],
+    "nested": [[["1", "0"]], [["0", "1"]]],
+    "no_vertices": {"vertices": []},
+    "segment": {"vertices": [["-1", "0"], ["1", "0"]]},
+    "off_centre": {"vertices": [["1", "1"], ["1", "3"], ["3", "1"], ["3", "3"]]},
+    "square": {"vertices": [["-1", "-1"], ["-1", "1"], ["1", "-1"], ["1", "1"]]},
+    "flat_3d": {"vertices": [["0", "0", "1"], ["0", "1", "1"], ["1", "0", "1"],
+                             ["1", "1", "1"]]},
+    "cube": {"vertices": [[x, y, z] for x in ("-1", "1") for y in ("-1", "1")
+                          for z in ("-1", "1")]},
+    "points_1d": [["1"]],
+    "points_empty": [[]],
+    "points_object": {"x": 1},
+}
+
+SPEC = "--type A --rank 2 --weights"
+
+MALFORMED = [
+    "hull {ragged}",
+    "hull {empty}",
+    "hull {nested}",
+    "hull {no_vertices}",
+    "hull {missing}",
+    "dual {ragged}",
+    "dual {segment}",
+    "dual {off_centre}",
+    "strata --ball {segment}",
+    "strata --ball {off_centre}",
+    "strata --ball {nested}",
+    "limit-ray --ball {segment} --q 0,0 --u 1,0",
+    "limit-ray --ball {off_centre} --q 0,0 --u 1,0",
+    "limit-ray --ball {square} --q 0,0 --u 0,0",
+    "limit-ray --ball {square} --q 0,0 --u 1,0,0",
+    "limit-ray --ball {square} --q 1 --u 1,0",
+    "limit-ray --ball {square} --q 0,0 --u ,",
+    "flat-test --n 3 --ball {segment}",
+    "flat-test --n 3 --ball {off_centre}",
+    "flat-test --n 2 --ball {square}",
+    "flat-test --n 9 --ball {square}",
+    f"classify {SPEC} bogus",
+    f"classify {SPEC} ,,",
+    f"classify {SPEC} fundamental:3",
+    f"classify {SPEC} adjoint --scale 0",
+    f"classify {SPEC} adjoint --scale x",
+    "classify --type A --rank 0 --weights adjoint",
+    "classify --type A --rank two --weights adjoint",
+    "classify --type Q --rank 2 --weights adjoint",
+    "satake --type A --rank 40 --weights adjoint",
+    f"satake {SPEC} adjoint --scale 1/0",
+    f"compare {SPEC} adjoint --weights2 nope",
+    f"compare {SPEC} adjoint --weights2 adjoint --scale2 -1",
+    "render {cube} --format svg",
+    "render {flat_3d} --format off",
+    "render {square} --format off",
+    "render {square} --format svg --points {points_1d}",
+    "render {square} --format svg --points {points_empty}",
+    "render {square} --format svg --points {points_object}",
+    "render {square} --format svg --walls --type B --rank 3",
+    "render {cube} --format svg --walls",
+]
+
+
+@pytest.fixture(scope="module")
+def corpus_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    paths = {"missing": str(root / "missing.json")}
+    for name, doc in CORPUS_FILES.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_refused(capsys, corpus_paths, case):
+    code, out, err = run(capsys, *case.format(**corpus_paths).split())
+    assert code in (2, 3)
+    assert out == ""
+    assert "error:" in err

@@ -1,9 +1,10 @@
 """The integer kernel under the polytope layer, against Fraction oracles.
 
 The helpers in horopoly._linalg are checked against rref and Leibniz
-determinants;
-convex_hull, incidence and face dimensions against the subset-scan
-oracle of geomtest and Fraction affine spans.
+determinants, the integer projection and span_coefficients against the
+Fraction Gram solve of geomtest; convex_hull, incidence and face
+dimensions against the subset-scan oracle of geomtest and Fraction affine
+spans.
 """
 
 import random
@@ -14,9 +15,10 @@ from math import lcm, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import affine_span, on_facet, oracle_hull, rank
-from horopoly._linalg import (adjugate, homogeneous, pivot_columns, rref,
-                              vadd, vscale)
+from geomtest import (affine_span, on_facet, oracle_hull, oracle_project_onto_span,
+                      rank, rref, solve_system, transpose)
+from horopoly._linalg import (adjugate, homogeneous, pivot_columns, project_onto_span,
+                              span_coefficients, vadd, vscale)
 from horopoly.polytope import convex_hull, face_lattice
 from horopoly.rootsys import (build, named_weight, weight_coords, weyl_group,
                               weyl_orbit)
@@ -113,6 +115,63 @@ def test_homogeneous_uses_each_points_own_denominators():
     X = homogeneous(x)
     assert X[-1] == lcm(big, 2 * big, 7)
     assert tuple(F(a, X[-1]) for a in X[:-1]) == x
+
+
+@st.composite
+def projection_cases(draw):
+    """(vectors, v) in dims 1 to 5: empty lists, zero vectors, rows that are
+    combinations of earlier ones, and entries over a pair of coprime
+    100-digit denominators."""
+    dim = draw(st.integers(1, 5))
+    big = draw(st.integers(10**99, 10**100 - 2))
+    coord = st.builds(F, st.integers(-10**3, 10**3), st.sampled_from((1, 2, 3, big, big + 1)))
+    vector = st.tuples(*[coord] * dim)
+    vectors = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("new", "zero", "combination")))
+        if kind == "combination" and vectors:
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            s, t = draw(coord), draw(coord)
+            vectors.append(vadd(vscale(a, s), vscale(b, t)))
+        elif kind == "zero":
+            vectors.append((F(0),) * dim)
+        else:
+            vectors.append(draw(vector))
+    return vectors, draw(vector)
+
+
+@settings(max_examples=100, deadline=None)
+@given(projection_cases())
+def test_project_onto_span_matches_fraction_oracle(case):
+    vectors, v = case
+    assert project_onto_span(vectors, v) == oracle_project_onto_span(vectors, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_span_coefficients_match_solve_system_inside_the_span(data):
+    dim = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, dim))
+    basis = data.draw(st.lists(st.tuples(*[entries] * dim), min_size=k, max_size=k)
+                      .filter(lambda rows: rank(rows) == k))
+    coeffs = data.draw(st.lists(rationals(10**30), min_size=k, max_size=k))
+    x = homogeneous(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(dim)))
+    c, d = span_coefficients(basis, x[:-1])
+    assert d > 0
+    assert tuple(F(ci, d) for ci in c) == solve_system(transpose(basis), x[:-1])
+    assert [F(ci, d * x[-1]) for ci in c] == coeffs
+
+
+def test_span_coefficients_expose_what_the_root_check_refuses():
+    # (1, 0, 0) has trace 1, off the span of the A2 simple roots: the
+    # combination is det times its projection, not det times the vector
+    simple = [(1, -1, 0), (0, 1, -1)]
+    c, d = span_coefficients(simple, (1, 0, 0))
+    assert [sum(ci * s[j] for ci, s in zip(c, simple)) for j in range(3)] != [d, 0, 0]
+    # (0, 1) is half the long C2 simple root (0, 2): det does not divide c
+    c, d = span_coefficients([(1, -1), (0, 2)], (0, 1))
+    assert (F(c[0], d), F(c[1], d)) == (0, F(1, 2))
+    assert any(ci % d for ci in c)
 
 
 # ---------------------------------------------------------------------------

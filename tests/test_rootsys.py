@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomtest import (identity_matrix, mat_mul, matrix_orbit, nullspace, rand_vector,
-                      rank, reflection_matrix)
-from horopoly._linalg import mat_vec, transpose, vdot
+                      rank, reflection_matrix, solve_system, transpose)
+from horopoly._linalg import mat_vec, vdot
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.rootsys import (
     build,
@@ -70,12 +70,28 @@ def test_build_b2():
 def test_positive_roots_in_nonnegative_cone():
     # every positive root decomposes over the simple roots with coefficients
     # that are nonnegative integers
-    from horopoly._linalg import solve_system
     for rs in (build("A", 3), build("B", 3), build("C", 2), build("D", 4)):
         for root in rs.positive_roots:
             combo = solve_system(transpose(rs.simple_roots), root)
             assert combo is not None
             assert all(c >= 0 and c.denominator == 1 for c in combo)
+
+
+def test_every_rank_under_the_group_cap_builds():
+    # the positive-root self-check of the build passes for every family and
+    # rank that the group cap admits
+    counts = {"A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r,
+              "C": lambda r: r * r, "D": lambda r: r * (r - 1)}
+    for fam, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        r = low
+        while True:
+            try:
+                rs = build(fam, r)
+            except PreconditionError:
+                break
+            assert len(rs.positive_roots) == counts[fam](r)
+            r += 1
+        assert r - low >= 4
 
 
 def test_build_rejections():
