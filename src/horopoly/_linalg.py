@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import isfinite, lcm
 from operator import mul
 
 ZERO = Fraction(0)
@@ -99,15 +99,6 @@ def project_onto_span(vectors, v):
     den = det * x[-1]
     return tuple(Fraction(sum(ci * b[k] for ci, b in zip(c, basis)), den)
                  for k in range(len(v)))
-
-
-def primitive(vector):
-    """Positive rescale of a nonzero rational vector to coprime integers."""
-    ints = homogeneous(vector)[:-1]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(Fraction(n, g) for n in ints)
 
 
 # ---------------------------------------------------------------------------

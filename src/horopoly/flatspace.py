@@ -89,13 +89,14 @@ class FlatSpace:
 
     @cached_property
     def _gauge_rows(self) -> tuple:
-        """(rows, s): per ball facet u the integer row -(L*u)*A, and s = n*L."""
+        """(rows, s): per ball facet u the integer row -(L*u)*A, and s = n*L.
+        The ball's primitive facet row is (a, c) with u = a/c, so L = lcm c."""
         n = self.n
-        functionals = [h.functional for h in self.norm.ball.facets]
-        L = math.lcm(*(x.denominator for u in functionals for x in u))
+        facet_rows = self.norm.ball._facet_rows
+        L = math.lcm(*(r[-1] for r in facet_rows))
         rows = []
-        for u in functionals:
-            U = [x.numerator * (L // x.denominator) for x in u]
+        for *a, c in facet_rows:
+            U = [x * (L // c) for x in a]
             rows.append(tuple(-sum(U[k] * (n * (j <= k) - k - 1) for k in range(n - 1))
                               for j in range(n)))
         return tuple(rows), n * L

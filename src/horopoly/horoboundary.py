@@ -211,8 +211,10 @@ def convexity_midpoint_test(norm: PolyhedralNorm, ray1, ray2, lam, samples,
     lams = [frac(l) for l in (lam if isinstance(lam, (list, tuple)) else [lam])]
     if any(l < 0 or l > 1 for l in lams):
         raise InputError("blend coefficients must lie in [0, 1]")
-    schedule = tuple(frac(t) for t in (t_schedule or _DEFAULT_SCHEDULE))
+    schedule = tuple(map(frac, _DEFAULT_SCHEDULE if t_schedule is None else t_schedule))
     pts = [vec(y) for y in samples]
+    if not (lams and schedule and pts):
+        raise InputError("blend coefficients, time schedule and samples must be nonempty")
     tol = frac(tol)
     tail = max(3, len(lams) + 1)
     for idx, t in enumerate(schedule):

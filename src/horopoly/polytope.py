@@ -25,32 +25,22 @@ the bitmask of the points on it, so signs decide every step without an
 epsilon, coplanar points fall on one facet, and the final masks are the
 facet-vertex incidence.  A point is a vertex exactly when the facets
 through it meet in that point alone.  The cost follows the output, not
-the C(n, m) point subsets.  Plane hulls take the monotone chain.  Face
-dimensions are fraction-free ranks on the homogeneous vectors.  Every
-step is exact.
+the C(n, m) point subsets.  Each polytope keeps its facets as primitive
+integer rows (a, c) of <a|x> + c >= 0, the rays themselves for a hull:
+polar swaps them with the vertices' (x*w, w), negate negates both, and
+the incidence and the flat's gauge rows read them.  Face dimensions are
+fraction-free ranks on the homogeneous vectors.  Every step is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, cmp_to_key, reduce
 from math import gcd
 from operator import and_, mul
 
-from ._linalg import (
-    ONE,
-    adjugate,
-    frac,
-    homogeneous,
-    is_zero_vec,
-    pivot_columns,
-    primitive,
-    vdot,
-    vec,
-    vscale,
-    vsub,
-)
+from ._linalg import adjugate, homogeneous, pivot_columns, vdot, vec
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -69,20 +59,6 @@ class Halfspace:
 
     functional: Vector
     offset: Fraction
-
-    @staticmethod
-    def normalized(functional, offset) -> "Halfspace":
-        f = vec(functional)
-        c = frac(offset)
-        if is_zero_vec(f):
-            raise InputError("halfspace functional must be nonzero")
-        if c != 0:
-            f = vscale(f, ONE / abs(c))
-            c = Fraction(1 if c > 0 else -1)
-        else:
-            # offset 0 leaves the scale free; pin it with the primitive form
-            f = primitive(f)
-        return Halfspace(f, c)
 
     def contains(self, x) -> bool:
         return vdot(self.functional, x) >= self.offset
@@ -128,19 +104,25 @@ class Polytope:
         return tuple(homogeneous(v) for v in self.vertices)
 
     @cached_property
-    def incidence(self) -> tuple:
-        """Per facet, in facet order, the frozenset of vertex indices on it.
-
-        Facet <F/d|x> >= c holds the vertex with integer vector (X, w)
-        exactly when <F|X> = c*d*w.
-        """
-        out = []
+    def _facet_rows(self) -> tuple:
+        """Per facet, in facet order, the primitive integer row (a, c) of
+        <a|x> + c >= 0.  convex_hull, polar and negate set it; otherwise
+        it is read off the facets."""
+        rows = []
         for h in self.facets:
-            F = homogeneous(h.functional)
-            row = F[:-1] + (-int(h.offset) * F[-1],)
-            out.append(frozenset(i for i, v in enumerate(self._homogeneous)
-                                 if not sum(map(mul, row, v))))
-        return tuple(out)
+            row = homogeneous(h.functional + (-h.offset,))[:-1]
+            g = gcd(*row)
+            rows.append(tuple(x // g for x in row))
+        return tuple(rows)
+
+    @cached_property
+    def incidence(self) -> tuple:
+        """Per facet, in facet order, the frozenset of vertex indices on it:
+        facet row (a, c) holds the vertex (X, w) exactly when <a|X> + c*w = 0.
+        """
+        return tuple(frozenset(i for i, v in enumerate(self._homogeneous)
+                               if not sum(map(mul, row, v)))
+                     for row in self._facet_rows)
 
     @cached_property
     def lattice(self) -> tuple:
@@ -177,15 +159,17 @@ class Polytope:
             raise OriginNotInterior(
                 "polar duality needs a full-dimensional polytope with 0 interior")
         m = self.ambient_dim
-        verts = tuple(sorted(h.functional for h in self.facets))
-        facets = tuple(sorted(Halfspace(v, Fraction(-1)) for v in self.vertices))
+        # both lists are sorted and every offset is -1, so no sort is needed
+        verts = tuple(h.functional for h in self.facets)
+        facets = tuple(Halfspace(v, Fraction(-1)) for v in self.vertices)
         Q = Polytope(verts, facets, m, m)
         # facet i of Q is vertex i of P and vertex j of Q facet j of P
         columns = [[] for _ in self.vertices]
         for j, s in enumerate(self.incidence):
             for i in s:
                 columns[i].append(j)
-        Q.__dict__["incidence"] = tuple(map(frozenset, columns))
+        Q.__dict__.update(_homogeneous=self._facet_rows, _facet_rows=self._homogeneous,
+                          incidence=tuple(map(frozenset, columns)))
         return Q
 
 
@@ -233,29 +217,25 @@ def _check_points(points):
     return sorted(set(pts)), m
 
 
-def _cross2(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _row_order(r, s) -> int:
+    """Compare facet rows (a, c) as their halfspaces compare, on integers:
+    the functionals a/|c| (a when c = 0) by cross-multiplying, then the
+    offsets -sign c.  A denominator common to all rows would grow with
+    every coprime c."""
+    cr, cs = abs(r[-1]) or 1, abs(s[-1]) or 1
+    for x, y in zip(r[:-1], s[:-1]):
+        d = x * cs - y * cr
+        if d:
+            return d
+    return (s[-1] > 0) - (s[-1] < 0) - (r[-1] > 0) + (r[-1] < 0)
 
 
-def _hull_2d(pts):
-    """Monotone chain on presorted distinct points; returns CCW boundary."""
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    boundary = lower[:-1] + upper[:-1]
-    facets = []
-    for a, b in zip(boundary, boundary[1:] + boundary[:1]):
-        d = vsub(b, a)
-        inward = (-d[1], d[0])  # CCW boundary: this points into the polygon
-        facets.append(Halfspace.normalized(inward, vdot(inward, a)))
-    return boundary, facets
+def _facets_from_rows(rows) -> tuple:
+    """Primitive integer rows (a, c) of <a|x> + c >= 0 in facet order, and
+    their halfspaces <a/|c| | x> >= -sign c (<a|x> >= 0 when c = 0)."""
+    rows = tuple(sorted(rows, key=cmp_to_key(_row_order)))
+    return rows, tuple(Halfspace(tuple(Fraction(x, abs(c) or 1) for x in a),
+                                 Fraction((c < 0) - (c > 0))) for *a, c in rows)
 
 
 def _extreme_rays(hom) -> list:
@@ -308,19 +288,21 @@ def _hull_full(pts, hom) -> Polytope:
     """The full-dimensional hull of distinct sorted points, with its
     incidence read off the facets' zero sets.
 
-    hom holds the homogeneous integer vector of each point.  A facet
-    <a[:-1]|x> >= -a[-1] is an extreme ray a of {a : <a|(x*w, w)> >= 0}.
+    hom holds the homogeneous integer vector of each point.  A facet row
+    (a, c) of <a|x> + c >= 0 is an extreme ray of {a : <a|(x*w, w)> >= 0}.
     """
     m = len(pts[0])
-    rays = _extreme_rays(hom)
+    zeros = dict(_extreme_rays(hom))
     everything = (1 << len(pts)) - 1
     # a point is a vertex when the facets through it meet in it alone
     verts = [i for i in range(len(pts))
-             if reduce(and_, (z for _, z in rays if z >> i & 1), everything) == 1 << i]
-    facets = sorted((Halfspace.normalized(a[:-1], -a[-1]), z) for a, z in rays)
-    P = Polytope(tuple(pts[i] for i in verts), tuple(h for h, _ in facets), m, m)
-    P.__dict__["incidence"] = tuple(
-        frozenset(k for k, i in enumerate(verts) if z >> i & 1) for _, z in facets)
+             if reduce(and_, (z for z in zeros.values() if z >> i & 1), everything) == 1 << i]
+    rows, facets = _facets_from_rows(zeros)
+    P = Polytope(tuple(pts[i] for i in verts), facets, m, m)
+    P.__dict__.update(
+        _facet_rows=rows, _homogeneous=tuple(hom[i] for i in verts),
+        incidence=tuple(frozenset(k for k, i in enumerate(verts) if zeros[r] >> i & 1)
+                        for r in rows))
     return P
 
 
@@ -333,9 +315,6 @@ def convex_hull(points) -> Polytope:
     pivots = pivot_columns([h[-1:] + h[:-1] for h in hom])
     d = len(pivots) - 1
     if d == m:
-        if m == 2:
-            verts, facets = _hull_2d(pts)
-            return Polytope(tuple(sorted(verts)), tuple(sorted(facets)), m, m)
         return _hull_full(pts, hom)
     if d == 0:
         return Polytope((pts[0],), (), m, 0)
@@ -420,12 +399,15 @@ def dual_face(P: Polytope, F: Face) -> Face:
 
 
 def negate(P: Polytope) -> Polytope:
-    """The pointwise negation -P, computed structurally."""
-    verts = tuple(sorted(tuple(-x for x in v) for v in P.vertices))
-    facets = tuple(sorted(
-        Halfspace.normalized(tuple(-x for x in h.functional), h.offset)
-        for h in P.facets))
-    return Polytope(verts, facets, P.ambient_dim, P.affine_dim)
+    """The pointwise negation -P, computed structurally: each vertex (X, w)
+    becomes (-X, w) and each facet row (a, c) becomes (-a, c)."""
+    verts = sorted((tuple(-x for x in v), tuple(-x for x in X[:-1]) + X[-1:])
+                   for v, X in zip(P.vertices, P._homogeneous))
+    rows, facets = _facets_from_rows(
+        [tuple(-x for x in r[:-1]) + r[-1:] for r in P._facet_rows])
+    N = Polytope(tuple(v for v, _ in verts), facets, P.ambient_dim, P.affine_dim)
+    N.__dict__.update(_homogeneous=tuple(X for _, X in verts), _facet_rows=rows)
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +430,8 @@ def polytope_from_json(obj) -> Polytope:
     """Parse and validate; vertex lists must be extremal and canonical."""
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise InputError("polytope JSON needs a 'vertices' key")
+    if "dim" in obj and type(obj["dim"]) is not int:  # bool included
+        raise InputError("'dim' must be an integer")
     try:
         pts = [vec(v) for v in obj["vertices"]]
     except (TypeError, ValueError) as exc:

@@ -1,10 +1,14 @@
 """Shared helpers for the geometry test suite.
 
 Random rational data is produced from seeded random.Random instances so
-every run sees the same cases.  oracle_hull is a subset-scan hull for
-the double-description convex_hull to be checked against: it takes an
-affine span and then a nullspace per m-point candidate, and finds vertices by a rank test on the facet
-normals through each point.  oracle_vertex_enumeration goes the other
+every run sees the same cases.  normalized_halfspace and primitive are
+the Fraction normal form of a facet (offset -1, 0 or 1, and a primitive
+functional at offset 0), for the integer facet rows that polytope builds
+its halfspaces from to be checked against.  oracle_hull is a subset-scan
+hull for the double-description convex_hull to be checked against, the
+plane included: it takes an affine span and then a nullspace per m-point
+candidate, and finds vertices by a rank test on the facet normals
+through each point.  oracle_vertex_enumeration goes the other
 way, from halfspaces to vertices, for polar duals to be checked against.
 matrix_orbit and wall_signature are the Fraction matrix and barycenter
 forms of the Weyl orbit and of the wall signature of a face, and
@@ -34,6 +38,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations
+from math import gcd
 
 import numpy as np
 
@@ -45,7 +50,6 @@ from horopoly.norm import gauge
 from horopoly.polytope import (
     Halfspace,
     Polytope,
-    _hull_2d,
     convex_hull,
     face_lattice,
 )
@@ -55,6 +59,7 @@ from horopoly._linalg import (
     ONE,
     ZERO,
     frac,
+    homogeneous,
     is_zero_vec,
     mat_vec,
     vadd,
@@ -64,6 +69,33 @@ from horopoly._linalg import (
     vsub,
     vzero,
 )
+
+
+# ---------------------------------------------------------------------------
+# Fraction normal forms
+
+
+def primitive(vector):
+    """Positive rescale of a nonzero rational vector to coprime integers."""
+    ints = homogeneous(vector)[:-1]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(Fraction(n, g) for n in ints)
+
+
+def normalized_halfspace(functional, offset) -> Halfspace:
+    f = vec(functional)
+    c = frac(offset)
+    if is_zero_vec(f):
+        raise InputError("halfspace functional must be nonzero")
+    if c != 0:
+        f = vscale(f, ONE / abs(c))
+        c = Fraction(1 if c > 0 else -1)
+    else:
+        # offset 0 leaves the scale free; pin it with the primitive form
+        f = primitive(f)
+    return Halfspace(f, c)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +321,9 @@ def _hull_full(pts, m):
     """Facets and vertices of a full-dimensional hull via subset enumeration."""
     if m == 1:
         lo, hi = pts[0], pts[-1]
-        facets = [Halfspace.normalized((ONE,), lo[0]),
-                  Halfspace.normalized((-ONE,), -hi[0])]
+        facets = [normalized_halfspace((ONE,), lo[0]),
+                  normalized_halfspace((-ONE,), -hi[0])]
         return [lo, hi], facets
-    if m == 2:
-        return _hull_2d(pts)
 
     facets = {}
     for comb in combinations(pts, m):
@@ -313,9 +343,9 @@ def _hull_full(pts, m):
         if above and below:
             continue
         if above:
-            hs = Halfspace.normalized(normal, value)
+            hs = normalized_halfspace(normal, value)
         else:
-            hs = Halfspace.normalized(tuple(-x for x in normal), -value)
+            hs = normalized_halfspace(tuple(-x for x in normal), -value)
         facets[hs] = None
 
     facet_list = list(facets)

@@ -549,6 +549,7 @@ CORPUS_FILES = {
     "points_1d": [["1"]],
     "points_empty": [[]],
     "points_object": {"x": 1},
+    "dim_bool": {"dim": True, "vertices": [["-2"], ["1"]]},
 }
 
 SPEC = "--type A --rank 2 --weights"
@@ -562,6 +563,7 @@ MALFORMED = [
     "dual {ragged}",
     "dual {segment}",
     "dual {off_centre}",
+    "dual {dim_bool}",
     "strata --ball {segment}",
     "strata --ball {off_centre}",
     "strata --ball {nested}",

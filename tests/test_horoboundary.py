@@ -341,6 +341,17 @@ def test_convexity_midpoint_rejects_mismatched_rays(l1):
                                 Fraction(3, 2), [(0, 0)])
 
 
+@pytest.mark.parametrize("lam, samples, t_schedule", [
+    ([], [(0, 0)], None),
+    (Fraction(1, 2), [], None),
+    (Fraction(1, 2), [(0, 0)], []),
+], ids=["no-lam", "no-samples", "no-schedule"])
+def test_convexity_midpoint_rejects_empty_inputs(l1, lam, samples, t_schedule):
+    with pytest.raises(InputError):
+        convexity_midpoint_test(l1, ((0, 0), (1, 0)), ((3, 0), (1, 0)), lam, samples,
+                                t_schedule=t_schedule)
+
+
 def test_convexity_midpoint_random_pairs():
     rng = random.Random(47)
     for _ in range(20):

@@ -10,9 +10,10 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horopoly.errors import (
@@ -23,8 +24,8 @@ from horopoly.errors import (
     OriginNotInterior,
     PreconditionError,
 )
+from horopoly import polytope
 from horopoly.polytope import (
-    Halfspace,
     Polytope,
     convex_hull,
     dual_face,
@@ -37,9 +38,12 @@ from horopoly.polytope import (
     polytope_to_json,
 )
 from horopoly._linalg import mat_vec, vadd, vdot, vec, vsub
+from horopoly.rootsys import build, named_weight
+from horopoly.satake import satake_ball, weight_hull, weight_spec
 
-from geomtest import (on_facet, oracle_hull, oracle_vertex_enumeration,
-                      rand_ball, rand_vector, rank, relative_interior_point)
+from geomtest import (normalized_halfspace, on_facet, oracle_hull,
+                      oracle_vertex_enumeration, rand_ball, rand_vector, rank,
+                      relative_interior_point)
 
 F = Fraction
 
@@ -57,9 +61,9 @@ def oracle_facets_2d(points):
         n = (-d[1], d[0])
         vals = [vdot(n, p) - vdot(n, a) for p in pts]
         if all(v >= 0 for v in vals):
-            found.add(Halfspace.normalized(n, vdot(n, a)))
+            found.add(normalized_halfspace(n, vdot(n, a)))
         elif all(v <= 0 for v in vals):
-            found.add(Halfspace.normalized((-n[0], -n[1]), -vdot(n, a)))
+            found.add(normalized_halfspace((-n[0], -n[1]), -vdot(n, a)))
     return found
 
 
@@ -170,12 +174,12 @@ def test_hull_skips_candidates_spanning_no_hyperplane():
 
 @st.composite
 def grid_point_sets(draw):
-    """Up to 10 points of a coarse rational grid in dim 1, 3 or 4.
+    """Up to 10 points of a coarse rational grid in dim 1 to 4.
 
     The grid is small enough that duplicates, coplanar points and points
     inside facets are common.
     """
-    dim = draw(st.sampled_from((1, 3, 4)))
+    dim = draw(st.integers(1, 4))
     coord = st.sampled_from([F(k, 2) for k in range(-3, 4)])
     return draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=10))
 
@@ -213,8 +217,8 @@ def test_lower_dimensional_hull_matches_oracle_under_affine_map(flat_dim, dim):
 
 
 def test_vertex_enum_square_matches_cramer_oracle():
-    hs = [Halfspace.normalized((1, 0), -1), Halfspace.normalized((-1, 0), -1),
-          Halfspace.normalized((0, 1), -1), Halfspace.normalized((0, -1), -1)]
+    hs = [normalized_halfspace((1, 0), -1), normalized_halfspace((-1, 0), -1),
+          normalized_halfspace((0, 1), -1), normalized_halfspace((0, -1), -1)]
     P = oracle_vertex_enumeration(hs)
     assert set(P.vertices) == oracle_vertices_2d(hs)
     assert set(P.vertices) == {vec(v) for v in [(1, 1), (1, -1), (-1, 1), (-1, -1)]}
@@ -241,7 +245,7 @@ def test_polar_of_1_norm_ball_is_square(l1_ball, square_ball):
 def test_polar_triangle_frozen_from_equality_oracle():
     tri = convex_hull([(1, 0), (0, 1), (-1, -1)])
     # oracle: solve <y|a_i> = -1 on vertex pairs, keep feasible solutions
-    cons = [Halfspace.normalized(a, -1) for a in tri.vertices]
+    cons = [normalized_halfspace(a, -1) for a in tri.vertices]
     assert set(polar_dual(tri).vertices) == oracle_vertices_2d(cons)
     assert set(polar_dual(tri).vertices) == {
         vec(v) for v in [(-1, -1), (2, -1), (-1, 2)]}
@@ -270,7 +274,7 @@ def test_polar_agrees_with_vertex_enumeration():
         for _ in range(4):
             P = rand_ball(rng, dim, count)
             direct = oracle_vertex_enumeration(
-                [Halfspace.normalized(v, -1) for v in P.vertices])
+                [normalized_halfspace(v, -1) for v in P.vertices])
             assert direct == polar_dual(P)
 
 
@@ -464,6 +468,86 @@ def test_polar_incidence_is_the_transpose_in_dim_4():
     P = rand_ball(random.Random(43), 4, 9)
     Q = polar_dual(P)
     assert Q.incidence == _rebuilt(Q).incidence
+
+
+# the integer facet record
+
+
+def _primitive_rows(raw):
+    rows = set()
+    for r in raw:
+        if any(r[:-1]):
+            g = gcd(*r)
+            rows.add(tuple(x // g for x in r))
+    return list(rows)
+
+
+_BIG = 10**100
+
+
+@st.composite
+def facet_rows(draw):
+    """Distinct primitive rows (a, c) with c > 0, c < 0 and c = 0 mixed in."""
+    dim = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-6, 6), st.integers(-_BIG, _BIG))
+    offset = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-_BIG, _BIG))
+    raw = draw(st.lists(st.tuples(*[entry] * dim, offset), min_size=1, max_size=8))
+    return _primitive_rows(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_rows())
+@example([(_BIG + 1, _BIG - 1, _BIG + 3), (_BIG - 1, -_BIG - 3, -_BIG - 1),
+          (_BIG + 3, _BIG + 1, 0), (1, 0, 1), (1, 0, -1), (1, 0, 0)])
+def test_halfspaces_from_rows_match_the_fraction_normal_form(rows):
+    sorted_rows, facets = polytope._facets_from_rows(rows)
+    oracle = [normalized_halfspace(r[:-1], -r[-1]) for r in sorted_rows]
+    assert list(facets) == oracle == sorted(oracle)
+    assert sorted(sorted_rows) == sorted(rows)
+    # the fallback reads the same rows back off the halfspaces
+    if rows:
+        m = len(rows[0]) - 1
+        assert Polytope((), facets, m, m)._facet_rows == sorted_rows
+
+
+def _check_seeded_records(P, seeded):
+    fresh = _rebuilt(P)
+    for name in seeded:
+        assert name in P.__dict__
+    assert P._facet_rows == fresh._facet_rows
+    assert P._homogeneous == fresh._homogeneous
+    assert P.incidence == fresh.incidence
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_balls())
+def test_seeded_records_match_a_fresh_copy(P):
+    _check_seeded_records(P, ("_facet_rows", "_homogeneous", "incidence"))
+    Q = polar_dual(P)
+    _check_seeded_records(Q, ("_facet_rows", "_homogeneous", "incidence"))
+    _check_seeded_records(negate(P), ("_facet_rows", "_homogeneous"))
+    _check_seeded_records(negate(Q), ("_facet_rows", "_homogeneous"))
+
+
+@pytest.mark.parametrize("points", [
+    [(-2,), (1,), (0,)],
+    [(-1, -1), (0, -1), (1, -1), (1, 1), (-1, 1), (0, 0)],
+    [(-1, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 2), (0, 0, -1),
+     (F(1, 2), F(1, 2), 0)],
+])
+def test_seeded_records_of_hulls_with_degenerate_points(points):
+    P = convex_hull(points)
+    _check_seeded_records(P, ("_facet_rows", "_homogeneous", "incidence"))
+    _check_seeded_records(polar_dual(P), ("_facet_rows", "_homogeneous", "incidence"))
+    _check_seeded_records(negate(P), ("_facet_rows", "_homogeneous"))
+
+
+@pytest.mark.parametrize("family, rank, name", [
+    ("A", 2, "adjoint"), ("B", 2, "standard"), ("A", 3, "adjoint"), ("C", 3, "standard")])
+def test_seeded_records_of_satake_balls(family, rank, name):
+    rs = build(family, rank)
+    ball = satake_ball(weight_hull(weight_spec(rs, [named_weight(rs, name)])))
+    _check_seeded_records(ball, ("_facet_rows", "_homogeneous"))
 
 
 @settings(max_examples=25, deadline=None)

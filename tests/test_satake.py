@@ -13,15 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomtest import (oracle_same_compactification, oracle_vertex_enumeration,
-                      relative_interior_point, wall_signature)
+from geomtest import (normalized_halfspace, oracle_same_compactification,
+                      oracle_vertex_enumeration, relative_interior_point,
+                      wall_signature)
 from horopoly._linalg import mat_vec
 from horopoly.errors import InputError, PreconditionError
 from horopoly.horoboundary import enumerate_strata
 from horopoly.norm import polyhedral_norm
 from horopoly import polytope
 from horopoly.polytope import (
-    Halfspace,
     convex_hull,
     f_vector,
     face_lattice,
@@ -127,7 +127,7 @@ def test_standard_hull_is_triangle_with_zero_interior():
 def oracle_classical_polar(P):
     """{x : <v|x> <= 1 for every vertex v}, built by halfspace intersection."""
     return oracle_vertex_enumeration(
-        [Halfspace.normalized(tuple(-x for x in v), -1) for v in P.vertices])
+        [normalized_halfspace(tuple(-x for x in v), -1) for v in P.vertices])
 
 
 def test_satake_ball_equals_classical_polar_oracle():
