@@ -62,7 +62,6 @@ from .satake import (
     classify,
     combinatorial_summary,
     invariant_under,
-    report_to_json,
     same_compactification,
     satake_ball,
     weight_hull,
@@ -114,7 +113,6 @@ __all__ = [
     "psi",
     "render_off",
     "render_svg",
-    "report_to_json",
     "same_compactification",
     "satake_ball",
     "singular_support",

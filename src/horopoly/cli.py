@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -31,13 +32,23 @@ from .polytope import (Polytope, convex_hull, polar_dual, polytope_from_json,
                        polytope_to_json)
 from .render import render_off, render_svg
 from .rootsys import (build, named_weight, point_ambient, weight_ambient)
-from .satake import (CompactificationReport, classify, report_to_json,
-                     same_compactification, satake_ball, weight_hull,
-                     weight_spec)
+from .satake import (classify, same_compactification, satake_ball,
+                     weight_hull, weight_spec)
 
-# the JSON form of each result a verb prints, built by _emit_json
-_DOCUMENT = {Polytope: polytope_to_json, CompactificationReport: report_to_json,
-             Horofunction: horofunction_to_json}
+# the JSON form of the results with a document format of their own
+_DOCUMENT = {Polytope: polytope_to_json, Horofunction: horofunction_to_json}
+
+
+def _json_form(obj):
+    """A result's JSON form: its own format, a Fraction's string, or any
+    other dataclass's fields (the reports)."""
+    if type(obj) in _DOCUMENT:
+        return _DOCUMENT[type(obj)](obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def _out_path(path: str) -> Path:
@@ -55,14 +66,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    """Write doc, with the results in it formatted by _DOCUMENT.
+    """Write doc, with the results in it in their _json_form.
 
     An exact result with an integer past Python's int-to-str digit limit
     (3.10.7 on) is refused: the document readers could not read it back.
     """
     try:
         text = json.dumps(doc, indent=2, sort_keys=True,
-                          default=lambda obj: _DOCUMENT[type(obj)](obj)) + "\n"
+                          default=_json_form) + "\n"
     except ValueError:  # str of an int past the limit
         raise PreconditionError(
             f"the exact result has an integer of over {sys.get_int_max_str_digits()} "
@@ -280,28 +291,28 @@ def _flat_rays(n: int, t_max: float) -> list:
 
 def _cmd_flat_test(args) -> int:
     # the float layer, and numpy with it, loads for this verb alone
-    from .flatspace import (InvarianceConfig, consistency_report_to_json,
-                            flat_limit_consistency, flat_space,
-                            invariance_report_to_json, invariance_suite)
+    from .flatspace import (InvarianceConfig, flat_limit_consistency,
+                            flat_space, invariance_suite)
 
     config = InvarianceConfig(seed=args.seed)
     ball = polytope_from_json(_load_json(args.ball))
     fs = flat_space(args.n, ball)
     grid = _flat_grid(args.n)
     start = (Fraction(0),) * args.n
-    consistency = {}
-    statuses = []
-    for label, direction in _flat_rays(args.n, args.tmax):
-        rep = flat_limit_consistency(fs, start, direction, grid,
-                                     t_max=args.tmax, tol=args.tol)
-        consistency[label] = consistency_report_to_json(rep)
-        statuses.append(rep.status)
-    inv = invariance_suite(fs, config)
+    try:
+        consistency = {label: flat_limit_consistency(fs, start, direction, grid,
+                                                     t_max=args.tmax, tol=args.tol)
+                       for label, direction in _flat_rays(args.n, args.tmax)}
+        inv = invariance_suite(fs, config)
+    except OverflowError:  # a gauge value past the largest float
+        raise PreconditionError("the ball's gauge takes values beyond the "
+                                "float range of the matrix model") from None
+    statuses = [rep.status for rep in consistency.values()]
     doc = {
         "n": args.n,
         "seed": args.seed,
         "consistency": consistency,
-        "invariance": invariance_report_to_json(inv),
+        "invariance": inv,
     }
     _emit_json(doc, args.out)
     flags = (inv.basepoint_ok and inv.equivariance_ok

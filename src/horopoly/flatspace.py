@@ -586,33 +586,3 @@ def invariance_suite(fs: FlatSpace, config: InvarianceConfig | None = None) -> I
         noise_band=_NOISE_BAND,
     )
 
-
-def sequence_type_to_json(st: SequenceType) -> dict:
-    return {"indices": list(st.indices), "limit": [str(x) for x in st.limit]}
-
-
-def consistency_report_to_json(report: FlatLimitReport) -> dict:
-    return {
-        "status": report.status,
-        "tolerance": report.tolerance,
-        "t_max": report.t_max,
-        "matrix_route_max_t": report.matrix_route_max_t,
-        "defects": [[t, d] for t, d in report.defects],
-        "ray_type": sequence_type_to_json(report.ray_type),
-    }
-
-
-def invariance_report_to_json(report: InvarianceReport) -> dict:
-    return {
-        "basepoint_defect": report.basepoint_defect,
-        "equivariance_defect": report.equivariance_defect,
-        "limit_defects": [[t, d] for t, d in report.limit_defects],
-        "basepoint_ok": report.basepoint_ok,
-        "equivariance_ok": report.equivariance_ok,
-        "limit_ok": report.limit_ok,
-        "limit_monotone": report.limit_monotone,
-        "ray_type": sequence_type_to_json(report.ray_type),
-        "invariance_tol": report.invariance_tol,
-        "limit_tol": report.limit_tol,
-        "noise_band": report.noise_band,
-    }

@@ -88,12 +88,6 @@ class Polytope:
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
 
-    def contains(self, x) -> bool:
-        if not self.facets:
-            raise PreconditionError("containment needs a facet description")
-        x = vec(x)
-        return all(h.contains(x) for h in self.facets)
-
     def has_origin_interior(self) -> bool:
         return (self.is_full_dimensional and bool(self.facets)
                 and all(h.offset == -1 for h in self.facets))

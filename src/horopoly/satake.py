@@ -193,18 +193,6 @@ def combinatorial_summary(report: CompactificationReport) -> dict:
     }
 
 
-def report_to_json(report: CompactificationReport) -> dict:
-    return {
-        "hull_f_vector": list(report.hull_f_vector),
-        "ball_f_vector": list(report.ball_f_vector),
-        "vertices": [[str(x) for x in v] for v in report.vertices],
-        "facet_count": report.facet_count,
-        "singular_supports": [list(s) for s in report.singular_supports],
-        "regular": report.regular,
-        "shape": report.shape,
-    }
-
-
 # ---------------------------------------------------------------------------
 # equivalence of compactifications
 

@@ -550,6 +550,13 @@ CORPUS_FILES = {
     "points_empty": [[]],
     "points_object": {"x": 1},
     "dim_bool": {"dim": True, "vertices": [["-2"], ["1"]]},
+    # past the float range: exact hulls, but no picture and no float gauge
+    "far_square": {"vertices": [["-1", "-1"], ["-1", "1"], ["1e400", "-1"],
+                                ["1", "1"]]},
+    "far_cube": {"vertices": [[x, y, z] for x in ("-1", "1e400")
+                              for y in ("-1", "1") for z in ("-1", "1")]},
+    "points_far": [["1e400", "0"]],
+    "tiny_segment": {"vertices": [["-1e-400"], ["1e-400"]]},
 }
 
 SPEC = "--type A --rank 2 --weights"
@@ -577,6 +584,7 @@ MALFORMED = [
     "flat-test --n 3 --ball {off_centre}",
     "flat-test --n 2 --ball {square}",
     "flat-test --n 9 --ball {square}",
+    "flat-test --n 2 --ball {tiny_segment}",
     f"classify {SPEC} bogus",
     f"classify {SPEC} ,,",
     f"classify {SPEC} fundamental:3",
@@ -597,6 +605,9 @@ MALFORMED = [
     "render {square} --format svg --points {points_object}",
     "render {square} --format svg --walls --type B --rank 3",
     "render {cube} --format svg --walls",
+    "render {far_square} --format svg",
+    "render {far_cube} --format off",
+    "render {square} --format svg --points {points_far}",
 ]
 
 

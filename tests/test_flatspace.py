@@ -4,6 +4,7 @@ The exact chart gauge serves as the oracle for every floating quantity:
 the eigensolver route must land on it wherever both apply.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -17,15 +18,15 @@ from geomtest import (coords_in_basis, oracle_cartan_projection,
                       oracle_flat_limit_consistency, oracle_invariance_suite,
                       oracle_psi_flat, psi, rand_ball, validate_spd)
 from horopoly._linalg import vdot, vec
+from horopoly.cli import _emit_json
 from horopoly.errors import DimensionMismatch, InputError, PreconditionError
 from horopoly.flatspace import (InvarianceConfig, act, cartan_projection,
-                                consistency_report_to_json, exp_flat,
-                                finsler_distance, flat_chart, flat_gauge,
-                                flat_limit, flat_limit_consistency, flat_space,
-                                invariance_report_to_json, invariance_suite,
-                                psi_flat, sample_block_rotation,
-                                sample_block_unipotent, sample_rotation,
-                                sample_spd, sequence_type_of_ray)
+                                exp_flat, finsler_distance, flat_chart,
+                                flat_gauge, flat_limit, flat_limit_consistency,
+                                flat_space, invariance_suite, psi_flat,
+                                sample_block_rotation, sample_block_unipotent,
+                                sample_rotation, sample_spd,
+                                sequence_type_of_ray)
 from horopoly.horoboundary import evaluate
 from horopoly.polytope import convex_hull
 from horopoly.rootsys import (build, named_weight, point_ambient, point_coords,
@@ -495,21 +496,26 @@ class TestReportOracle:
 
 
 class TestReports:
-    def test_consistency_report_json(self, fs3):
+    """Reports as the command line writes them."""
+
+    @staticmethod
+    def document(capsys, report):
+        _emit_json(report, None)
+        return json.loads(capsys.readouterr().out)
+
+    def test_consistency_report_json(self, fs3, capsys):
         d = F(1, 1000)
         rep = flat_limit_consistency(fs3, (0, 0, 0), (d, 0, -d), GRID25[:4],
                                      t_max=100.0, tol=1e-5)
-        doc = consistency_report_to_json(rep)
+        doc = self.document(capsys, rep)
         assert doc["status"] == rep.status
         assert doc["ray_type"]["indices"] == []
         assert len(doc["defects"]) == 5
-        import json
         json.dumps(doc)
 
-    def test_invariance_report_json(self, fs3):
+    def test_invariance_report_json(self, fs3, capsys):
         cfg = InvarianceConfig(samples=5, point_samples=4, group_samples=2)
-        doc = invariance_report_to_json(invariance_suite(fs3, cfg))
+        doc = self.document(capsys, invariance_suite(fs3, cfg))
         assert set(doc) >= {"basepoint_defect", "equivariance_defect",
                             "limit_defects", "limit_monotone", "ray_type"}
-        import json
         json.dumps(doc)

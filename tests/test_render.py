@@ -4,6 +4,8 @@ The A2 adjoint hull coordinates are small integers, so the expected path
 string can be written down by hand from the vertex set.
 """
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,6 +89,12 @@ class TestSvg:
     def test_trailing_newline(self, hexagon):
         assert render_svg(hexagon).endswith("</svg>\n")
 
+    def test_point_and_segment_keep_sorted_order(self):
+        point = convex_hull([(1, 2)])
+        assert '<path d="M 1 -2 Z"' in render_svg(point)
+        segment = convex_hull([(1, 1), (-1, 0)])
+        assert '<path d="M -1 -0 L 1 -1 Z"' in render_svg(segment)
+
 
 class TestOff:
     def test_cube_header(self, cube):
@@ -144,3 +152,89 @@ class TestOff:
     def test_wrong_dimension_rejected(self, hexagon):
         with pytest.raises(InputError):
             render_off(hexagon)
+
+
+# ---------------------------------------------------------------------------
+# exact orientation, near the origin and far from it
+
+FAR = 10 ** 20
+
+
+def random_hulls(dim, count):
+    """Seeded full-dimensional hulls of small integer points."""
+    rng = random.Random(dim)
+    hulls = []
+    while len(hulls) < count:
+        P = convex_hull([tuple(rng.randint(-9, 9) for _ in range(dim))
+                         for _ in range(rng.randint(dim + 1, 12))])
+        if P.is_full_dimensional:
+            hulls.append(P)
+    return hulls
+
+
+def translate(P, shift):
+    return convex_hull([tuple(x + t for x, t in zip(v, shift)) for v in P.vertices])
+
+
+def turn(P, i, j, k, normal=(0, 0, 1)):
+    """det(v_j - v_i, v_k - v_i, normal), the plane read as z = 0."""
+    a, b, c = (tuple(P.vertices[m]) + (0,) * (3 - P.ambient_dim) for m in (i, j, k))
+    u = [y - x for x, y in zip(a, b)]
+    v = [y - x for x, y in zip(a, c)]
+    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+    return sum(x * y for x, y in zip(cross, normal))
+
+
+def assert_ccw_cycle(P, cycle, normal=(0, 0, 1)):
+    """Smallest index first, every step an edge, every turn positive."""
+    assert cycle[0] == min(cycle)
+    n = len(cycle)
+    for k in range(n):
+        i, j, m = cycle[k], cycle[(k + 1) % n], cycle[(k + 2) % n]
+        # an edge of a polygon lies on one of its facets, of a solid on two
+        assert sum({i, j} <= s for s in P.incidence) == P.ambient_dim - 1
+        assert turn(P, i, j, m, normal) > 0
+
+
+def path_cycle(P, svg):
+    """The vertex indices of an SVG path, read back through its printed
+    coordinates, which for small integers are exact."""
+    d = re.search(r'<path d="([^"]*)"', svg).group(1)
+    nums = [Fraction(t) for t in d.split() if t not in ("M", "L", "Z")]
+    where = {v: i for i, v in enumerate(P.vertices)}
+    return [where[(x, -y)] for x, y in zip(nums[::2], nums[1::2])]
+
+
+def off_cycles(text):
+    nv = int(text.splitlines()[1].split()[0])
+    return [[int(c) for c in line.split()[1:]]
+            for line in text.splitlines()[2 + nv:]]
+
+
+def test_svg_paths_turn_counterclockwise_near_and_far():
+    for P in random_hulls(2, 40):
+        cycle = path_cycle(P, render_svg(P))
+        assert_ccw_cycle(P, cycle)
+        # a far translate keeps the vertex order, so its path is the same
+        # cycle, though its printed coordinates no longer tell vertices apart
+        for shift in ((FAR, 0), (0, FAR), (FAR, -FAR)):
+            Q = translate(P, shift)
+            assert_ccw_cycle(Q, cycle)
+            far = re.search(r'<path d="([^"]*)"', render_svg(Q)).group(1)
+            steps = far[:-2].replace("M ", "").split(" L ")
+            assert steps == ["%.12g %.12g" % (float(Q.vertices[i][0]),
+                                               -float(Q.vertices[i][1]))
+                             for i in cycle]
+
+
+def test_off_facets_turn_counterclockwise_near_and_far():
+    for P in random_hulls(3, 25):
+        for Q in (P, translate(P, (FAR, 0, 0)), translate(P, (FAR, -FAR, FAR))):
+            cycles = off_cycles(render_off(Q))
+            assert sorted(frozenset(c) for c in cycles) == sorted(Q.incidence)
+            inside = tuple(sum(c) / len(Q.vertices) for c in zip(*Q.vertices))
+            for cycle in cycles:
+                # outward: away from a point inside the solid
+                out = tuple(x - y for x, y in zip(Q.vertices[cycle[0]], inside))
+                assert_ccw_cycle(Q, cycle, out)

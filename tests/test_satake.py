@@ -6,6 +6,7 @@ computed chart images, and singular supports against explicit root
 pairings.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from geomtest import (normalized_halfspace, oracle_same_compactification,
                       oracle_vertex_enumeration, relative_interior_point,
                       wall_signature)
 from horopoly._linalg import mat_vec
+from horopoly.cli import _emit_json
 from horopoly.errors import InputError, PreconditionError
 from horopoly.horoboundary import enumerate_strata
 from horopoly.norm import polyhedral_norm
@@ -41,7 +43,6 @@ from horopoly.satake import (
     classify,
     combinatorial_summary,
     invariant_under,
-    report_to_json,
     same_compactification,
     satake_ball,
     weight_hull,
@@ -314,8 +315,9 @@ def test_classify_multi_weight():
     assert not report.regular
 
 
-def test_report_json_shape():
-    obj = report_to_json(classify(spec_of(A2, "adjoint")))
+def test_report_json_shape(capsys):
+    _emit_json(classify(spec_of(A2, "adjoint")), None)
+    obj = json.loads(capsys.readouterr().out)
     assert obj["hull_f_vector"] == [6, 6, 1]
     assert obj["regular"] is True
     assert len(obj["vertices"]) == 6
